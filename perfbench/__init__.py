@@ -1,0 +1,1 @@
+"""Keddah end-to-end benchmark (see README.md)."""
