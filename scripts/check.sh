@@ -74,13 +74,15 @@ python -m pytest tests/test_obs_server.py tests/test_obs_aggregate.py \
 echo "== pipeline crash-resume gate =="
 python scripts/pipeline_gate.py
 
-# 9. Workload-plan differential gate: a single-stage plan must keep
-#    producing byte-identical captures to the legacy single-job path
-#    across backends and engines, the plan IR/executor semantics must
-#    hold, and plan store entries must stay disjoint from single-job
-#    entries.  Explicit so scoped runs still exercise the contract.
-echo "== workload-plan differential suite =="
-python -m pytest tests/test_plan_differential.py tests/test_workload_plans.py \
+# 9. Capture-determinism gate: every public capture entry point
+#    (run_capture, run_capture_campaign, capture_plan, keddah capture
+#    with and without --store) must give byte-identical JSONL when run
+#    twice, in reversed order and in a fresh process, the point keys
+#    must stay pinned, the plan IR/executor semantics must hold, and
+#    plan store entries must stay disjoint from single-job entries.
+#    Explicit so scoped runs still exercise the contract.
+echo "== capture-determinism and workload-plan suite =="
+python -m pytest tests/test_capture_determinism.py tests/test_workload_plans.py \
     tests/test_plan_campaign.py -q
 
 # 10. Telemetry null-path smoke: an un-configured run must emit zero

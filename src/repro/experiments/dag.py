@@ -55,7 +55,7 @@ from multiprocessing import get_context
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.experiments.store import canonical_json, write_atomic
+from repro.experiments.store import JsonlJournal, canonical_json, write_atomic
 from repro.experiments.supervision import (
     DeadlineExpired,
     FailureFingerprint,
@@ -393,14 +393,14 @@ def _run_stage_in_worker(stage: str, name: str, workdir: str,
 # -- the DAG journal ----------------------------------------------------------------
 
 
-class DAGJournal:
+class DAGJournal(JsonlJournal):
     """Append-only fsynced JSONL of node state transitions.
 
-    Same semantics as :class:`~repro.experiments.supervision.
-    CheckpointJournal`: header line first, one JSON object per
-    transition, torn tail lines tolerated and counted, every append
-    fsynced (and the containing directory fsynced when the file is
-    created).  Unlike the campaign journal it records *transitions*,
+    The same :class:`~repro.experiments.store.JsonlJournal` as the
+    campaign's :class:`~repro.experiments.supervision.CheckpointJournal`:
+    header line first, one JSON object per transition, torn tail lines
+    tolerated and counted, every append fsynced.  Unlike the campaign
+    journal it records *transitions*,
     not payloads — node outputs live in the node dirs; the journal is
     the authoritative history of what happened when::
 
@@ -410,42 +410,14 @@ class DAGJournal:
     """
 
     def __init__(self, path: str | Path, pipeline: str = "pipeline"):
-        self.path = Path(path)
         self.transitions: List[Dict[str, Any]] = []
-        self.truncated_lines = 0
-        self._load_existing()
-        if not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append({"dag_journal": {"format": DAG_FORMAT_VERSION,
-                                          "pipeline": pipeline}})
+        super().__init__(path, {"dag_journal": {"format": DAG_FORMAT_VERSION,
+                                                "pipeline": pipeline}})
 
-    def _load_existing(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                self.truncated_lines += 1
-                continue
-            transition = record.get("transition")
-            if isinstance(transition, dict):
-                self.transitions.append(transition)
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        from repro.experiments.store import fsync_dir
-
-        created = not self.path.exists()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if created:
-            fsync_dir(self.path.parent)
+    def _load_record(self, record: Dict[str, Any]) -> None:
+        transition = record.get("transition")
+        if isinstance(transition, dict):
+            self.transitions.append(transition)
 
     def record(self, node: str, signature: str, state: str,
                **extra: Any) -> Dict[str, Any]:

@@ -95,8 +95,42 @@ def derive_seed(base_seed: int, size_index: int, repeat: int = 0) -> int:
     return base_seed * 10_007 + size_index * 101 + repeat
 
 
+class _ContentKeyed:
+    """Content addressing shared by both point kinds.
+
+    Each kind supplies its own :meth:`key_dict`; the store key and the
+    logical key (which names the simulated job or plan) hash it the
+    same way.
+    """
+
+    def key_dict(self) -> Dict[str, Any]:
+        raise NotImplementedError
+
+    def key(self) -> str:
+        return key_hash(self.key_dict())
+
+    def logical_key(self) -> str:
+        """Hash of the workload alone: backend- and format-independent.
+
+        Seeds the job (or plan) id, so the same logical point produces
+        the same RNG streams (and therefore the same flow population)
+        under every transport backend — while :meth:`key` still
+        separates their store entries.
+        """
+        logical = self.key_dict()
+        del logical["format"]
+        del logical["backend"]
+        config = {name: dict(value) if isinstance(value, dict) else value
+                  for name, value in logical["config"].items()}
+        for section in config.values():
+            if isinstance(section, dict):
+                section.pop("backend", None)
+        logical["config"] = config
+        return key_hash(logical)
+
+
 @dataclass(frozen=True)
-class CapturePoint:
+class CapturePoint(_ContentKeyed):
     """One fully-specified capture: everything a worker needs to run it.
 
     ``key_config`` is the canonical configuration sub-dict used for
@@ -154,36 +188,14 @@ class CapturePoint:
             "job_kwargs": _thaw(self.job_kwargs),
         }
 
-    def key(self) -> str:
-        return key_hash(self.key_dict())
-
-    def logical_key(self) -> str:
-        """Hash of the workload alone: backend- and format-independent.
-
-        Seeds the job id, so the same logical point produces the same
-        RNG streams (and therefore the same flow population) under
-        every transport backend — while :meth:`key` still separates
-        their store entries.
-        """
-        logical = self.key_dict()
-        del logical["format"]
-        del logical["backend"]
-        config = {name: dict(value) if isinstance(value, dict) else value
-                  for name, value in logical["config"].items()}
-        for section in config.values():
-            if isinstance(section, dict):
-                section.pop("backend", None)
-        logical["config"] = config
-        return key_hash(logical)
-
     def simulate(self, telemetry: Optional[Telemetry] = None,
                  ) -> Tuple[JobResult, JobTrace]:
         """Run this point on a fresh cluster (pure function of the point).
 
-        The job id is derived from the point's content hash rather than
-        the process-global job counter, so the (result, trace) bytes
-        are identical no matter which process/worker runs the point or
-        how many jobs ran before it — telemetry included: spans and
+        The job id (``job_<kind>_<hash10>``) is derived from the point's
+        logical content hash, so the (result, trace) bytes are identical
+        no matter which process/worker runs the point or how many jobs
+        ran before it — telemetry included: spans and
         probes only read engine state, so passing an enabled
         ``telemetry`` never changes the returned bytes.
         """
@@ -197,7 +209,7 @@ class CapturePoint:
 
 
 @dataclass(frozen=True)
-class PlanPoint:
+class PlanPoint(_ContentKeyed):
     """One fully-specified workload-plan capture.
 
     The plan analogue of :class:`CapturePoint`, presenting the same
@@ -269,22 +281,6 @@ class PlanPoint:
             "config": _thaw(self.key_config),
         }
 
-    def key(self) -> str:
-        return key_hash(self.key_dict())
-
-    def logical_key(self) -> str:
-        """Hash of the workload alone: backend- and format-independent."""
-        logical = self.key_dict()
-        del logical["format"]
-        del logical["backend"]
-        config = {name: dict(value) if isinstance(value, dict) else value
-                  for name, value in logical["config"].items()}
-        for section in config.values():
-            if isinstance(section, dict):
-                section.pop("backend", None)
-        logical["config"] = config
-        return key_hash(logical)
-
     def simulate(self, telemetry: Optional[Telemetry] = None,
                  ) -> Tuple[Any, JobTrace]:
         """Run this plan on a fresh cluster (pure function of the point).
@@ -298,7 +294,7 @@ class PlanPoint:
         plan_id = f"plan_{self.plan}_{self.logical_key()[:10]}"
         cluster = HadoopCluster(self.cluster_spec, self.hadoop_config,
                                 seed=self.seed, telemetry=telemetry)
-        return cluster.run_plan(plan, plan_id=plan_id)
+        return cluster.run_plan(plan, plan_id)
 
 
 def _freeze(mapping: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:
@@ -310,6 +306,11 @@ def _freeze(mapping: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]
 
 def _thaw(items: Tuple[Tuple[str, Any], ...]) -> Dict[str, Any]:
     return dict(items)
+
+
+def _worker_pid() -> int:
+    """Trivial pool task: its answer proves a worker finished starting."""
+    return os.getpid()
 
 
 def _simulate_point(point: CapturePoint) -> Tuple[JobResult, JobTrace]:
@@ -657,8 +658,29 @@ class CampaignRunner:
     # -- pool (process-isolated) path ------------------------------------------------
 
     def _new_pool(self, size: int) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(max_workers=size,
+        pool = ProcessPoolExecutor(max_workers=size,
                                    mp_context=get_context("spawn"))
+        if self.retry_policy.deadline_s is not None:
+            self._warm(pool, size)
+        return pool
+
+    @staticmethod
+    def _warm(pool: ProcessPoolExecutor, size: int) -> None:
+        """Return once all ``size`` spawn workers have started.
+
+        A spawn worker boots an interpreter and imports the package
+        before it can run anything; that start-up must not count
+        against the first point's deadline, so deadlines are armed only
+        after every worker has answered a trivial task.  A pool that
+        breaks while starting is left for the round to report.
+        """
+        ready: set = set()
+        try:
+            while len(ready) < size:
+                futures = [pool.submit(_worker_pid) for _ in range(size)]
+                ready.update(future.result() for future in futures)
+        except BrokenExecutor:
+            pass
 
     @staticmethod
     def _terminate_pool(pool: ProcessPoolExecutor) -> None:

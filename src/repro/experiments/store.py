@@ -127,6 +127,61 @@ def write_atomic(path: str | Path, text: str, durable: bool = True) -> Path:
     return path
 
 
+def append_jsonl(path: Path, record: Dict[str, Any]) -> None:
+    """Durably append one JSON line to ``path``.
+
+    The line is fsynced; creating the file also fsyncs its directory,
+    because the file's *name* lives in the parent directory's metadata
+    and without that a power cut can lose the file even though its
+    bytes were fsynced.
+    """
+    created = not path.exists()
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps(record, sort_keys=True) + "\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+    if created:
+        fsync_dir(path.parent)
+
+
+class JsonlJournal:
+    """Append-only, fsynced JSONL file whose first line is a header.
+
+    Opening an existing file feeds each parsed line to
+    :meth:`_load_record`; torn or unparseable lines (a crash mid-append)
+    are skipped and counted in :attr:`truncated_lines`.  Opening a new
+    file writes ``header`` first.  Every :meth:`_append` goes through
+    :func:`append_jsonl`.  Subclasses set up their own state before
+    calling this constructor.
+    """
+
+    def __init__(self, path: str | Path, header: Dict[str, Any]):
+        self.path = Path(path)
+        self.truncated_lines = 0
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except OSError:
+            text = ""
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError:
+                self.truncated_lines += 1
+                continue
+            self._load_record(record)
+        if not self.path.exists():
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._append(header)
+
+    def _load_record(self, record: Dict[str, Any]) -> None:
+        """Absorb one line read back from an existing journal."""
+
+    def _append(self, record: Dict[str, Any]) -> None:
+        append_jsonl(self.path, record)
+
+
 def key_hash(key: Dict[str, Any]) -> str:
     """SHA-256 address of a canonical key dict."""
     return hashlib.sha256(canonical_json(key).encode("utf-8")).hexdigest()

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import pickle
 import traceback
 from concurrent.futures import BrokenExecutor
@@ -49,7 +48,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.experiments.store import fsync_dir, write_atomic
+from repro.experiments.store import JsonlJournal, append_jsonl, write_atomic
 
 #: Failure classes.  ``TRANSIENT`` failures are environmental and
 #: retryable; ``DETERMINISTIC`` failures repeat on every attempt;
@@ -273,15 +272,8 @@ class Quarantine:
                 return known
         self.failures.append(failure)
         if self.path is not None:
-            created = not self.path.exists()
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(json.dumps(failure.to_dict(), sort_keys=True)
-                             + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
-            if created:
-                fsync_dir(self.path.parent)
+            append_jsonl(self.path, failure.to_dict())
         return failure
 
     def _rewrite(self) -> None:
@@ -317,7 +309,7 @@ class Quarantine:
 JOURNAL_FORMAT_VERSION = 1
 
 
-class CheckpointJournal:
+class CheckpointJournal(JsonlJournal):
     """Incremental, resumable record of a campaign's completed points.
 
     The journal is an append-only JSONL file.  The first line is a
@@ -337,56 +329,25 @@ class CheckpointJournal:
     """
 
     def __init__(self, path: str | Path):
-        self.path = Path(path)
         self._entries: Dict[str, str] = {}
         self._meta: Dict[str, Dict[str, Any]] = {}
         self.failures_recorded = 0
-        self.truncated_lines = 0
-        self._load_existing()
-        if not self.path.exists():
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._append({"journal": {"format": JOURNAL_FORMAT_VERSION}})
+        super().__init__(path, {"journal": {"format": JOURNAL_FORMAT_VERSION}})
 
-    # -- loading -----------------------------------------------------------------
-
-    def _load_existing(self) -> None:
-        try:
-            text = self.path.read_text(encoding="utf-8")
-        except OSError:
-            return
-        for line in text.splitlines():
-            if not line.strip():
-                continue
+    def _load_record(self, record: Dict[str, Any]) -> None:
+        completed = record.get("completed")
+        if completed:
             try:
-                record = json.loads(line)
-            except ValueError:
+                key = completed["key"]
+                self._entries[key] = completed["entry"]
+                self._meta[key] = {name: completed.get(name)
+                                   for name in ("job", "input_gb", "seed")}
+            except (KeyError, TypeError):
                 self.truncated_lines += 1
-                continue
-            completed = record.get("completed")
-            if completed:
-                try:
-                    key = completed["key"]
-                    self._entries[key] = completed["entry"]
-                    self._meta[key] = {name: completed.get(name)
-                                       for name in ("job", "input_gb", "seed")}
-                except (KeyError, TypeError):
-                    self.truncated_lines += 1
-            elif record.get("failure"):
-                self.failures_recorded += 1
+        elif record.get("failure"):
+            self.failures_recorded += 1
 
     # -- writing -----------------------------------------------------------------
-
-    def _append(self, record: Dict[str, Any]) -> None:
-        created = not self.path.exists()
-        with open(self.path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
-        if created:
-            # The file's *name* lives in the parent directory's
-            # metadata; without this a power cut can lose the journal
-            # even though its bytes were fsynced.
-            fsync_dir(self.path.parent)
 
     def record_completed(self, key: str, job: str, input_gb: float, seed: int,
                          entry: str) -> None:

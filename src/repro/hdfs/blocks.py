@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.cluster.topology import Host
-
-_block_ids = itertools.count(1)
 
 
 @dataclass
@@ -17,12 +14,14 @@ class Block:
 
     ``index`` is the block's position within its file; ``size`` is the
     actual byte count (the final block of a file is usually short).
+    ``block_id`` comes from the allocating
+    :class:`~repro.hdfs.namenode.NameNode`.
     """
 
     path: str
     index: int
     size: int
-    block_id: int = field(default_factory=lambda: next(_block_ids))
+    block_id: int
 
     def __post_init__(self) -> None:
         if self.size < 0:

@@ -24,16 +24,13 @@ from repro.cluster.units import MB
 class JobIdStream:
     """Deterministic, instance-scoped stream of fallback job ids.
 
-    The repo once used a single module-global ``itertools.count`` for
-    every auto-assigned job id — the same process-history hazard PR 7
-    removed for flow ids: the id (and therefore the job's RNG streams
-    and HDFS paths) depended on how many specs *any* code had built
-    before.  Ids now count per job kind within one stream instance, so
-    "the 3rd terasort in this scope" is always ``job_terasort_0003`` no
-    matter what other kinds were interleaved, and executors that own
-    their stream (e.g. :class:`~repro.mapreduce.cluster.HadoopCluster`)
-    allocate identically whether specs are built serially or
-    interleaved across executors.
+    Ids count per job kind within one stream instance, so "the 3rd
+    terasort in this scope" is always ``job_terasort_0003`` no matter
+    what other kinds were interleaved.  Each
+    :class:`~repro.mapreduce.cluster.HadoopCluster` owns one and names
+    the bare specs it is handed, so an id (and therefore the job's RNG
+    streams and HDFS paths) never depends on what else ran in the
+    process.
     """
 
     def __init__(self) -> None:
@@ -46,21 +43,6 @@ class JobIdStream:
 
     def reset(self) -> None:
         self._next.clear()
-
-
-#: Process-wide fallback for bare ``JobSpec(...)`` construction; code
-#: that needs reproducible ids passes an explicit ``job_id`` (campaign
-#: points, plan stages) or its own :class:`JobIdStream`.
-_default_ids = JobIdStream()
-
-
-def default_id_stream() -> JobIdStream:
-    return _default_ids
-
-
-def reset_default_ids() -> None:
-    """Rewind the fallback id stream (test isolation helper)."""
-    _default_ids.reset()
 
 
 @dataclass(frozen=True)
@@ -116,7 +98,11 @@ class JobProfile:
 
 @dataclass
 class JobSpec:
-    """One concrete job run."""
+    """One concrete job run.
+
+    A spec built without a ``job_id`` is *bare*: it gets its id (and
+    default paths) from the cluster that submits it.
+    """
 
     profile: JobProfile
     input_bytes: float
@@ -131,12 +117,14 @@ class JobSpec:
     def __post_init__(self) -> None:
         if self.input_bytes < 0:
             raise ValueError(f"input_bytes must be >= 0, got {self.input_bytes}")
-        if not self.job_id:
-            self.job_id = _default_ids.allocate(self.profile.kind)
-        if not self.input_path:
-            self.input_path = f"/data/{self.job_id}/input"
-        if not self.output_path:
-            self.output_path = f"/data/{self.job_id}/output"
+        if self.job_id:
+            self.assign_id(self.job_id)
+
+    def assign_id(self, job_id: str) -> None:
+        """Name a bare spec and derive its default HDFS paths from the id."""
+        self.job_id = job_id
+        self.input_path = self.input_path or f"/data/{job_id}/input"
+        self.output_path = self.output_path or f"/data/{job_id}/output"
 
     @property
     def kind(self) -> str:
@@ -169,21 +157,14 @@ def job_catalog() -> Dict[str, Callable[..., JobProfile]]:
 
 def make_job(kind: str, input_gb: float, num_reducers: Optional[int] = None,
              queue: str = "default", job_id: str = "",
-             id_stream: Optional[JobIdStream] = None,
              **profile_overrides) -> JobSpec:
-    """Uniform factory: a JobSpec for ``kind`` with ``input_gb`` of data.
-
-    ``id_stream`` scopes the auto-assigned id to the caller's executor
-    instead of the process-wide fallback stream.
-    """
+    """Uniform factory: a JobSpec for ``kind`` with ``input_gb`` of data."""
     _import_all_profiles()
     factory = _REGISTRY.get(kind)
     if factory is None:
         raise ValueError(f"unknown job kind {kind!r}; known: {sorted(_REGISTRY)}")
     profile = factory(**profile_overrides)
     input_bytes = input_gb * 1024 * MB
-    if not job_id and id_stream is not None:
-        job_id = id_stream.allocate(kind)
     return JobSpec(profile=profile, input_bytes=input_bytes,
                    num_reducers=num_reducers, queue=queue, job_id=job_id)
 

@@ -11,40 +11,22 @@ behaviour measurably differs from isolated MapReduce jobs: cross-stage
 data travels through the real HDFS write/read path, so it shows up on
 the wire as replication-pipeline and split-read traffic.
 
-Identity boundary
------------------
-``WorkloadPlan.single(spec)`` wraps one explicit
-:class:`~repro.jobs.base.JobSpec` as a *trivial* plan.  The executor
-runs a trivial plan through the exact legacy single-job path (same job
-id, same RNG streams, same event ordering), so its capture is
-byte-identical to ``HadoopCluster.run([spec])`` — the contract that
-lets the plan machinery subsume the single-job path without
-invalidating anything built on it.
-
 Determinism
 -----------
-Declarative plans carry no run state: stage job ids derive from the
-plan signature (a SHA-256 over the canonical plan dict) plus the stage
-name, so every stage gets its own deterministic RNG streams
-(``job.<job_id>.r<k>``) from the cluster seed regardless of execution
-order or how many plans ran before it in the process.
+Plans carry no run state.  The executor is handed a plan id by its
+caller — :class:`~repro.experiments.runner.PlanPoint` derives it from
+the point's logical content hash — and every stage's job id is that
+plan id plus the stage name, so each stage gets its own deterministic
+RNG streams (``job.<job_id>.r<k>``) from the cluster seed regardless of
+execution order or how many plans ran before it in the process.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
-
-from repro.cluster.units import MB
-from repro.jobs.base import JobSpec
-
-
-def _freeze(mapping: Optional[Mapping[str, Any]]) -> Tuple[Tuple[str, Any], ...]:
-    if not mapping:
-        return ()
-    return tuple(sorted(mapping.items()))
 
 
 @dataclass(frozen=True)
@@ -144,7 +126,8 @@ class PlanStage:
                                 for edge in data.get("inputs", ())),
                    num_reducers=data.get("num_reducers"),
                    queue=data.get("queue", "default"),
-                   profile_overrides=_freeze(data.get("profile_overrides")))
+                   profile_overrides=tuple(sorted(
+                       (data.get("profile_overrides") or {}).items())))
 
 
 @dataclass(frozen=True)
@@ -154,16 +137,13 @@ class WorkloadPlan:
     ``params`` records what the registry factory was called with (so
     captures can report e.g. the TPCx-HS scale factor); ``score_rule``
     names an optional scoring rule the analysis layer applies
-    (``"hsph"`` for TPCx-HS-style GB-per-hour scores).  ``wrapped``
-    holds the verbatim :class:`JobSpec` of a trivial plan built via
-    :meth:`single`.
+    (``"hsph"`` for TPCx-HS-style GB-per-hour scores).
     """
 
     name: str
     stages: Tuple[PlanStage, ...]
     params: Tuple[Tuple[str, Any], ...] = ()
     score_rule: str = ""
-    wrapped: Optional[JobSpec] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -187,11 +167,6 @@ class WorkloadPlan:
         self.topological_order()  # raises on cycles
 
     # -- structure ------------------------------------------------------------------
-
-    @property
-    def is_trivial(self) -> bool:
-        """True for a single wrapped JobSpec (the legacy identity path)."""
-        return self.wrapped is not None
 
     def stage(self, name: str) -> PlanStage:
         for stage in self.stages:
@@ -232,49 +207,27 @@ class WorkloadPlan:
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical plan dict — the signature (and store-key) source."""
-        data: Dict[str, Any] = {
+        return {
             "name": self.name,
             "stages": [stage.to_dict() for stage in self.stages],
             "params": dict(self.params),
             "score_rule": self.score_rule,
         }
-        if self.wrapped is not None:
-            spec = self.wrapped
-            data["wrapped"] = {"kind": spec.kind, "job_id": spec.job_id,
-                               "input_bytes": spec.input_bytes,
-                               "num_reducers": spec.num_reducers,
-                               "queue": spec.queue}
-        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadPlan":
-        """Rebuild a declarative plan (wrapped specs do not round-trip)."""
-        if "wrapped" in data:
-            raise ValueError(
-                "trivial plans wrap a live JobSpec and are not "
-                "reconstructible from their dict")
+        """Rebuild a plan from its canonical dict."""
         return cls(name=data["name"],
                    stages=tuple(PlanStage.from_dict(stage)
                                 for stage in data["stages"]),
-                   params=_freeze(data.get("params")),
+                   params=tuple(sorted((data.get("params") or {}).items())),
                    score_rule=data.get("score_rule", ""))
 
     def signature(self) -> str:
-        """SHA-256 of the canonical plan dict (stage ids derive from it)."""
+        """SHA-256 of the canonical plan dict (part of a plan point's key)."""
         payload = json.dumps(self.to_dict(), sort_keys=True,
                              separators=(",", ":"), default=str)
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    # -- construction ---------------------------------------------------------------
-
-    @classmethod
-    def single(cls, spec: JobSpec, name: str = "") -> "WorkloadPlan":
-        """Wrap one explicit JobSpec as a trivial plan (identity path)."""
-        stage = PlanStage(name="job", kind=spec.kind,
-                          input_gb=max(spec.input_bytes / (1024 * MB), 1e-9),
-                          num_reducers=spec.num_reducers, queue=spec.queue)
-        return cls(name=name or f"single-{spec.kind}", stages=(stage,),
-                   wrapped=spec)
 
 
 # -- the plan catalog ----------------------------------------------------------------
@@ -328,7 +281,7 @@ def pig_aggregation(input_gb: float = 1.0,
     """
     return WorkloadPlan(
         name="pig-aggregation",
-        params=_freeze({"input_gb": input_gb}),
+        params=(("input_gb", input_gb),),
         stages=(
             PlanStage(name="extract", kind="grep", input_gb=input_gb,
                       num_reducers=num_reducers),
@@ -359,7 +312,7 @@ def tpcx_hs(scale: float = 1.0,
     """
     return WorkloadPlan(
         name="tpcx-hs",
-        params=_freeze({"scale": scale}),
+        params=(("scale", scale),),
         score_rule="hsph",
         stages=(
             PlanStage(name="hsgen", kind="teragen", input_gb=scale,
@@ -369,5 +322,5 @@ def tpcx_hs(scale: float = 1.0,
                       num_reducers=num_reducers),
             PlanStage(name="hsvalidate", kind="grep",
                       inputs=(PlanEdge("hssort"),),
-                      profile_overrides=_freeze({"map_only": True})),
+                      profile_overrides=(("map_only", True),)),
         ))

@@ -23,7 +23,7 @@ from repro.hdfs.client import DfsClient
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.placement import PlacementPolicy
-from repro.jobs.base import JobSpec
+from repro.jobs.base import JobIdStream, JobSpec
 from repro.jobs.plan import WorkloadPlan
 from repro.mapreduce import constants
 from repro.mapreduce.driver import JobDriver, PlanExecutor
@@ -107,7 +107,7 @@ class HadoopCluster:
             }
         else:
             self.node_speed = {host: 1.0 for host in self.workers}
-        self._drivers: List[JobDriver] = []
+        self.job_ids = JobIdStream()
         self._started = False
         self.probes: Optional[ClusterProbes] = None
 
@@ -157,35 +157,36 @@ class HadoopCluster:
                                        job_id=spec.job_id, replication=replication)
 
     def submit_job(self, spec: JobSpec, client_host: Optional[Host] = None) -> JobDriver:
-        """Preload input and start a driver for ``spec``.  Returns the driver."""
+        """Preload input and start a driver for ``spec``.  Returns the driver.
+
+        A bare spec (no ``job_id``) is named from this cluster's
+        :class:`~repro.jobs.base.JobIdStream`.
+        """
+        if not spec.job_id:
+            spec.assign_id(self.job_ids.allocate(spec.kind))
         self.preload_input(spec)
-        driver = JobDriver(self, spec, client_host=client_host)
-        self._drivers.append(driver)
-        return driver
+        return JobDriver(self, spec, client_host=client_host)
 
-    def submit_plan(self, plan: WorkloadPlan,
-                    client_host: Optional[Host] = None,
-                    plan_id: Optional[str] = None) -> PlanExecutor:
+    def submit_plan(self, plan: WorkloadPlan, plan_id: str,
+                    client_host: Optional[Host] = None) -> PlanExecutor:
         """Start an executor for ``plan``.  Returns the executor."""
-        executor = PlanExecutor(self, plan, client_host=client_host,
-                                plan_id=plan_id)
-        self._drivers.extend(executor.drivers.values())
-        return executor
+        return PlanExecutor(self, plan, plan_id, client_host=client_host)
 
-    def run_plan(self, plan: WorkloadPlan, plan_id: Optional[str] = None,
+    def run_plan(self, plan: WorkloadPlan, plan_id: str,
                  ) -> Tuple[PlanResult, JobTrace]:
         """Run one workload plan to completion; result + combined trace.
 
         Mirrors :meth:`run` for a single plan: daemons start, a
         controller process submits the plan at t=0, everything stops
-        when the last stage finishes.  The returned trace covers all
-        stages (see :meth:`trace_for_plan`).
+        when the last stage finishes.  ``plan_id`` names the run; stage
+        job ids derive from it.  The returned trace covers all stages
+        (see :meth:`trace_for_plan`).
         """
         self.start()
         holder: List[PlanExecutor] = []
 
         def controller():
-            executor = self.submit_plan(plan, plan_id=plan_id)
+            executor = self.submit_plan(plan, plan_id)
             holder.append(executor)
             yield executor.done
             self.stop()
@@ -270,16 +271,11 @@ class HadoopCluster:
     def trace_for_plan(self, executor: PlanExecutor) -> JobTrace:
         """Cut the collector's capture into one plan's combined trace.
 
-        Trivial plans delegate to :meth:`trace_for` on the single
-        wrapped driver, so their trace is byte-identical to a legacy
-        single-job capture.  Declarative plans get one trace spanning
-        every stage, with the per-stage breakdown (job ids, windows,
-        volumes, dependency edges) recorded under ``meta.extra['plan']``
-        so the analysis layer can attribute flows back to stages.
+        One trace spans every stage, with the per-stage breakdown (job
+        ids, windows, volumes, dependency edges) recorded under
+        ``meta.extra['plan']`` so the analysis layer can attribute flows
+        back to stages.
         """
-        if executor.plan.is_trivial:
-            (driver,) = executor.drivers.values()
-            return self.trace_for(driver)
         result = executor.result
         meta = CaptureMeta(
             job_id=result.plan_id,

@@ -245,7 +245,8 @@ class ObservabilityServer:
     refreshes the source and evaluates the rules every
     ``alert_interval`` wall seconds, publishing transitions on the
     broker.  :meth:`stop` shuts both down; the object is also a context
-    manager.
+    manager.  Both calls are idempotent, so entering a server that the
+    ``serve_*`` helpers already started runs one accept loop, not two.
     """
 
     def __init__(self, source, broker: Optional[EventBroker] = None,
@@ -273,6 +274,9 @@ class ObservabilityServer:
     # -- lifecycle -----------------------------------------------------------------
 
     def start(self) -> "ObservabilityServer":
+        """Spawn the daemon threads; a second call is a no-op."""
+        if self._threads:
+            return self
         accept = threading.Thread(target=self._httpd.serve_forever,
                                   kwargs={"poll_interval": 0.1},
                                   name="keddah-serve-accept", daemon=True)

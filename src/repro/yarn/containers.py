@@ -2,13 +2,10 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from repro.cluster.topology import Host
-
-_container_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -51,16 +48,17 @@ class Resources:
 
 @dataclass
 class Container:
-    """A granted container on a specific host."""
+    """A granted container on a specific host.
+
+    ``container_id`` is assigned by the granting
+    :class:`~repro.yarn.resourcemanager.ResourceManager`, which counts
+    from 1 per cluster.
+    """
 
     host: Host
     app_id: str
     resources: Resources
     container_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.container_id == 0:
-            self.container_id = next(_container_ids)
 
     def __hash__(self) -> int:
         return hash(self.container_id)

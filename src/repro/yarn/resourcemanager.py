@@ -57,6 +57,7 @@ class ResourceManager:
         self.apps: Dict[str, Application] = {}
         self.usage: Dict[str, Resources] = {}
         self._submit_counter = itertools.count()
+        self._container_counter = itertools.count(1)
         self._container_node: Dict[int, "NodeManager"] = {}
         self.telemetry = sim.telemetry
         registry = self.telemetry.registry
@@ -130,7 +131,8 @@ class ResourceManager:
             self._c_selections.value += 1
             app = self.apps[chosen.app_id]
             container = Container(host=node.host, app_id=app.app_id,
-                                  resources=app.container_unit)
+                                  resources=app.container_unit,
+                                  container_id=next(self._container_counter))
             node.allocate(container)
             self._container_node[container.container_id] = node
             self.usage[app.app_id] = self.usage[app.app_id] + container.resources

@@ -372,30 +372,9 @@ def test_bottlenecked_flows_skips_missing_and_coerces():
 # -- end-to-end: byte-identical captures across engines --------------------------------
 
 
-def _reset_counter_streams():
-    """Rewind the process-global id streams the capture bytes embed.
-
-    Container/block ids come from module-level ``itertools.count``
-    streams, so the *second* simulation in one process would differ in
-    ids (and the ports derived from them) for reasons that have nothing
-    to do with the engine under test.  Flow ids no longer need
-    rewinding: each backend owns its own stream.  Job ids come from the
-    per-kind :class:`repro.jobs.base.JobIdStream` fallback, rewound via
-    its public reset helper.
-    """
-    import itertools
-
-    import repro.hdfs.blocks as blocks
-    import repro.jobs.base as jobs_base
-    import repro.yarn.containers as containers
-
-    jobs_base.reset_default_ids()
-    containers._container_ids = itertools.count(1)
-    blocks._block_ids = itertools.count(1)
-
-
 def _run_terasort_engine(engine):
-    _reset_counter_streams()
+    # Every id a capture embeds (job, container, block, flow) is counted
+    # per cluster, so two simulations in one process need no rewinding.
     cluster = HadoopCluster(
         ClusterSpec(num_nodes=8, hosts_per_rack=4, engine=engine),
         HadoopConfig(block_size=32 * MB, num_reducers=2), seed=7)

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.cluster.config import ClusterSpec
 from repro.cluster.units import MB
 from repro.jobs import JobProfile, JobSpec, job_catalog, make_job
 from repro.jobs.base import register_profile
+from repro.mapreduce.cluster import HadoopCluster
 
 EXPECTED_KINDS = {"terasort", "sort", "wordcount", "grep", "pagerank",
                   "kmeans", "join", "teragen", "dfsio-write", "dfsio-read",
@@ -25,17 +27,21 @@ def test_every_profile_constructs_and_validates():
 
 
 def test_make_job_builds_spec_with_defaults():
-    spec = make_job("terasort", input_gb=2.0)
+    spec = make_job("terasort", input_gb=2.0, job_id="job_terasort_0007")
     assert spec.kind == "terasort"
     assert spec.input_bytes == 2.0 * 1024 * MB
-    assert spec.job_id.startswith("job_terasort_")
-    assert spec.input_path.endswith("/input")
-    assert spec.output_path.endswith("/output")
+    assert spec.job_id == "job_terasort_0007"
+    assert spec.input_path == "/data/job_terasort_0007/input"
+    assert spec.output_path == "/data/job_terasort_0007/output"
 
 
 def test_make_job_unique_ids():
+    # Bare specs are named by the cluster that submits them.
+    cluster = HadoopCluster(ClusterSpec(num_nodes=2, hosts_per_rack=2))
     a = make_job("grep", input_gb=1.0)
     b = make_job("grep", input_gb=1.0)
+    cluster.submit_job(a)
+    cluster.submit_job(b)
     assert a.job_id != b.job_id
 
 

@@ -2,6 +2,7 @@
 
 import json
 import re
+import socket
 import threading
 import time
 import urllib.request
@@ -37,6 +38,36 @@ def _get_json(url):
     status, _, body = _get(url)
     assert status == 200
     return json.loads(body)
+
+
+def _points_completed(url):
+    _, _, body = _get(url + "/metrics")
+    for line in body.decode().splitlines():
+        if line.startswith("campaign_points_completed "):
+            return float(line.split()[-1])
+    return None
+
+
+class _ScrapingBroker(EventBroker):
+    """An event broker that scrapes ``/metrics`` as each point completes.
+
+    The scrape runs on the campaign's own thread, between one point and
+    the next, so it reads the daemon's view mid-run deterministically —
+    a free-running poller races a campaign that can finish in tens of
+    milliseconds on a fast host.
+    """
+
+    url = None
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.scraped = []
+
+    def publish(self, kind, **payload):
+        event = super().publish(kind, **payload)
+        if kind == "point" and self.url is not None:
+            self.scraped.append(_points_completed(self.url))
+        return event
 
 
 def _observed_telemetry():
@@ -86,6 +117,19 @@ def test_live_endpoints_round_trip():
         _get(server.url + "/healthz", timeout=0.5)
 
 
+def test_with_block_over_started_server_runs_one_accept_loop():
+    """``serve_*`` return a started server; ``with`` must not start it again."""
+    with serve_telemetry(Telemetry.disabled()) as server:
+        assert server.start() is server
+        assert _get_json(server.url + "/healthz")["status"] == "ok"
+    accept_threads = [thread for thread in server._threads
+                      if thread.name == "keddah-serve-accept"]
+    assert len(accept_threads) == 1
+    assert not accept_threads[0].is_alive()
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection((server.host, server.port), timeout=0.5)
+
+
 def test_events_sse_stream_with_replay_and_max():
     broker = EventBroker()
     broker.publish("point", index=0)
@@ -131,35 +175,17 @@ def test_alert_loop_publishes_into_events_stream():
 
 def test_metrics_update_live_during_campaign():
     telemetry = Telemetry.disabled()
-    broker = EventBroker()
+    broker = _ScrapingBroker()
     runner = CampaignRunner(telemetry=telemetry, events=broker)
     points = [CapturePoint.from_configs("terasort", 0.125, seed, _SPEC,
                                         _CONFIG)
               for seed in range(5)]
-    observed = []
     with serve_telemetry(telemetry, broker=broker) as server:
-        def poll():
-            while not done.is_set():
-                _, _, body = _get(server.url + "/metrics")
-                for line in body.decode().splitlines():
-                    if line.startswith("campaign_points_completed "):
-                        observed.append(float(line.split()[-1]))
-                time.sleep(0.005)
-
-        done = threading.Event()
-        poller = threading.Thread(target=poll, daemon=True)
-        poller.start()
-        try:
-            runner.run(points)
-        finally:
-            done.set()
-            poller.join(timeout=5)
-        # Progress was visible while the campaign ran: at least two
-        # distinct intermediate counts strictly below the final total.
-        distinct = sorted(set(observed))
-        assert len(distinct) >= 2, f"no live updates observed: {observed}"
-        assert distinct == sorted(value for value in distinct
-                                  if 0.0 <= value <= 5.0)
+        broker.url = server.url
+        runner.run(points)
+        # Progress was visible while the campaign ran: every completed
+        # point showed on /metrics before the next one started.
+        assert broker.scraped == [1.0, 2.0, 3.0, 4.0, 5.0]
         # And the /events stream carried per-point progress.
         kinds = [event["kind"] for event in broker.history]
         assert kinds.count("point") == 5
@@ -341,35 +367,26 @@ def test_cli_serve_for_seconds_and_missing_dir(tmp_path, capsys):
     assert main(["serve", "--telemetry", str(tmp_path / "missing")]) == 2
 
 
-def test_cli_campaign_serve_port_serves_live_metrics(capsys):
-    observed = []
-    holder = {}
-
-    def poll():
-        deadline = time.monotonic() + 30
-        while "url" not in holder and time.monotonic() < deadline:
-            time.sleep(0.002)
-        while not holder.get("done"):
-            try:
-                _, _, body = _get(holder["url"] + "/metrics", timeout=1)
-            except OSError:
-                break
-            for line in body.decode().splitlines():
-                if line.startswith("campaign_points_completed "):
-                    observed.append(float(line.split()[-1]))
-            time.sleep(0.002)
-
-    poller = threading.Thread(target=poll, daemon=True)
-    poller.start()
-
+def test_cli_campaign_serve_port_serves_live_metrics(capsys, monkeypatch):
     import sys
 
+    import repro.obs
+
+    brokers = []
+
+    class Broker(_ScrapingBroker):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            brokers.append(self)
+
+    monkeypatch.setattr(repro.obs, "EventBroker", Broker)
     real_write = sys.stdout.write
 
     def sniffing_write(text):
+        # The daemon's URL is printed before the first point runs.
         match = re.search(r"http://127\.0\.0\.1:\d+", text)
-        if match and "url" not in holder:
-            holder["url"] = match.group(0)
+        if match and brokers and brokers[0].url is None:
+            brokers[0].url = match.group(0)
         return real_write(text)
 
     sys.stdout.write = sniffing_write
@@ -379,11 +396,10 @@ def test_cli_campaign_serve_port_serves_live_metrics(capsys):
                    "--workers", "1", "--serve-port", "0"])
     finally:
         sys.stdout.write = real_write
-        holder["done"] = True
-    poller.join(timeout=10)
     assert rc == 0
     out = capsys.readouterr().out
     assert "live observability at http://127.0.0.1:" in out
     assert "serve daemon:" in out
-    assert len(set(observed)) >= 2, \
-        f"campaign /metrics never updated mid-run: {observed}"
+    (broker,) = brokers
+    assert broker.scraped == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0], \
+        f"campaign /metrics never updated mid-run: {broker.scraped}"

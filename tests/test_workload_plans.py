@@ -4,9 +4,7 @@ Covers the plan DAG structure (validation, topology, identity), the
 :class:`~repro.mapreduce.driver.PlanExecutor` runtime contracts —
 dependency-ordered stage windows, concurrent root admission, fan-in
 sizing, carryover selection, determinism — and the per-stage flow
-attribution and scoring in :mod:`repro.analysis.plans`.  The
-single-stage byte-identity contract lives in
-``test_plan_differential.py``.
+attribution and scoring in :mod:`repro.analysis.plans`.
 """
 
 import pytest
@@ -31,7 +29,6 @@ from repro.jobs import (
     make_plan,
     plan_catalog,
 )
-from repro.jobs.base import default_id_stream, reset_default_ids
 from repro.mapreduce.cluster import HadoopCluster
 
 SMALL_GB = 0.0625  # 64 MiB -> 2 blocks at 32 MiB
@@ -135,15 +132,6 @@ def test_signature_tracks_parameters():
     # Same parameters, fresh builds: signatures are stable.
     assert (make_plan("tpcx-hs", scale=1.0).signature()
             == make_plan("tpcx-hs", scale=1.0).signature())
-
-
-def test_trivial_plan_wraps_spec_and_does_not_roundtrip():
-    spec = make_job("terasort", input_gb=SMALL_GB, job_id="job_t_0001")
-    plan = WorkloadPlan.single(spec)
-    assert plan.is_trivial
-    assert plan.wrapped is spec
-    with pytest.raises(ValueError, match="reconstructible"):
-        WorkloadPlan.from_dict(plan.to_dict())
 
 
 def test_catalog_lists_builtin_plans():
@@ -331,7 +319,7 @@ def test_plan_runs_are_deterministic(tmp_path):
     assert captures[0] == captures[1]
 
 
-# -- job id allocation (the de-globalized stream) -----------------------------------
+# -- job id allocation (the cluster-owned stream) -----------------------------------
 
 
 def test_id_stream_counts_per_kind():
@@ -346,27 +334,33 @@ def test_id_stream_counts_per_kind():
 def test_id_allocation_is_identical_serial_vs_interleaved():
     """The id of "the k-th job of a kind" never depends on other streams.
 
-    This is the hazard the old module-global counter had: building
-    specs for two executors in an interleaved order changed every id.
+    This is the hazard a module-global counter has: naming specs for
+    two executors in an interleaved order changed every id.
     """
     serial = JobIdStream()
-    serial_ids = [make_job("terasort", input_gb=0.1, id_stream=serial).job_id
-                  for _ in range(3)]
+    serial_ids = [serial.allocate("terasort") for _ in range(3)]
     a, b = JobIdStream(), JobIdStream()
     interleaved_a, interleaved_b = [], []
     for _ in range(3):
-        interleaved_a.append(
-            make_job("terasort", input_gb=0.1, id_stream=a).job_id)
-        interleaved_b.append(
-            make_job("terasort", input_gb=0.1, id_stream=b).job_id)
+        interleaved_a.append(a.allocate("terasort"))
+        interleaved_b.append(b.allocate("terasort"))
     assert interleaved_a == serial_ids
     assert interleaved_b == serial_ids
 
 
-def test_bare_specs_fall_back_to_the_process_stream():
-    reset_default_ids()
-    first = make_job("wordcount", input_gb=0.1)
-    assert first.job_id == "job_wordcount_0001"
-    assert default_id_stream().allocate("wordcount") == "job_wordcount_0002"
-    reset_default_ids()
-    assert make_job("wordcount", input_gb=0.1).job_id == "job_wordcount_0001"
+def test_bare_specs_take_ids_from_the_submitting_cluster():
+    bare = make_job("wordcount", input_gb=SMALL_GB)
+    assert bare.job_id == "" and bare.input_path == ""
+    named = make_job("wordcount", input_gb=SMALL_GB, job_id="mine")
+    for _ in range(2):
+        # Every cluster counts from 1, whatever ran before it.
+        cluster = small_cluster()
+        first = make_job("wordcount", input_gb=SMALL_GB)
+        second = make_job("wordcount", input_gb=SMALL_GB)
+        cluster.submit_job(first)
+        cluster.submit_job(second)
+        cluster.submit_job(named)
+        assert first.job_id == "job_wordcount_0001"
+        assert first.input_path == "/data/job_wordcount_0001/input"
+        assert second.job_id == "job_wordcount_0002"
+        assert named.job_id == "mine"
