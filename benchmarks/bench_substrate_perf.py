@@ -60,7 +60,9 @@ def test_perf_event_cancellation_churn(benchmark):
         for i in range(5_000):
             sim.schedule(i * 0.001, tick, i)
         sim.run(until=10.0)
-        return sim.events_fired, sim.heap_compactions
+        registry = sim.telemetry.registry
+        return (registry.value("sim.events_fired"),
+                registry.value("sim.heap_compactions"))
 
     fired, compactions = benchmark(churn)
     assert fired == 5_000
@@ -102,7 +104,7 @@ def test_perf_incremental_allocator_churn(benchmark):
 def test_perf_full_job_simulation(benchmark):
     """A complete 0.5 GiB terasort capture on 8 nodes, end to end."""
 
-    perf = {}
+    clusters = []
 
     def run_job():
         cluster = HadoopCluster(
@@ -110,20 +112,24 @@ def test_perf_full_job_simulation(benchmark):
             HadoopConfig(block_size=32 * MB, num_reducers=4), seed=1)
         results, traces = cluster.run(
             [make_job("terasort", input_gb=0.5, job_id="perf")])
-        perf.update(cluster.perf_report())
+        clusters[:] = [cluster]
         return traces[0].flow_count()
 
     flows = benchmark(run_job)
+    registry = clusters[0].telemetry.registry
     print("\nsubstrate counters (one run):")
-    for key in sorted(perf):
-        value = perf[key]
-        print(f"  {key} = {value:.6f}" if isinstance(value, float)
-              else f"  {key} = {value}")
+    for metric in registry.metrics():
+        if metric.name.startswith(("sim.", "net.")):
+            labels = dict(metric.labels)
+            suffix = "".join(f"{{{key}={value}}}"
+                             for key, value in labels.items())
+            value = registry.value(metric.name, **labels)
+            print(f"  {metric.name}{suffix} = {value:g}")
     assert flows > 100
     # Batching must actually coalesce: at most one recompute per flush,
     # and a visible number of same-instant updates folded together.
-    assert perf["net.recomputes"] <= perf["net.flushes"]
-    assert perf["net.flows_batched"] > 0
+    assert registry.value("net.recomputes") <= registry.value("net.flushes")
+    assert registry.value("net.flows_batched") > 0
 
 
 def test_perf_engine_sweep_full_job(benchmark):
@@ -147,29 +153,30 @@ def test_perf_engine_sweep_full_job(benchmark):
                 HadoopConfig(block_size=32 * MB, num_reducers=4), seed=1)
             _, traces = cluster.run(
                 [make_job("terasort", input_gb=0.5, job_id="perf")])
-            reports[engine] = cluster.perf_report()
+            reports[engine] = cluster.telemetry.registry
             flow_counts[engine] = traces[0].flow_count()
         return flow_counts
 
     benchmark(sweep)
     print("\nfluid engine counters (one run each):")
     for engine in ENGINE_NAMES:
-        report = reports[engine]
-        print(f"  {engine}: recomputes={report['net.recomputes']} "
-              f"waterfill_rounds={report['net.waterfill_rounds']} "
-              f"flushes={report['net.flushes']} "
-              f"batch_admitted={report['net.flows_admitted_batched']} "
-              f"bulk_harvests={report['net.bulk_harvests']} "
-              f"done_skipped={report['net.done_signals_skipped']} "
-              f"allocator_seconds={report['net.allocator_seconds']:.4f}")
+        value = reports[engine].value
+        print(f"  {engine}: recomputes={value('net.recomputes'):g} "
+              f"waterfill_rounds={value('net.waterfill_rounds'):g} "
+              f"flushes={value('net.flushes'):g} "
+              f"batch_admitted={value('net.flows_admitted_batched'):g} "
+              f"bulk_harvests={value('net.bulk_harvests'):g} "
+              f"done_skipped={value('net.done_signals_skipped'):g} "
+              f"allocator_seconds={value('net.allocator_seconds'):.4f}")
     assert flow_counts["scalar"] == flow_counts["vectorized"]
     for key in ("net.recomputes", "net.waterfill_rounds", "net.flushes",
                 "net.flows_batched", "net.flows_admitted_batched",
                 "net.bulk_harvests", "net.done_signals_skipped"):
-        assert reports["scalar"][key] == reports["vectorized"][key], key
+        assert (reports["scalar"].value(key)
+                == reports["vectorized"].value(key)), key
     # The producers actually use the batched seam: write pipelines and
     # shuffle slow-start waves go through start_flows.
-    assert reports["scalar"]["net.flows_admitted_batched"] > 0
+    assert reports["scalar"].value("net.flows_admitted_batched") > 0
 
 
 def test_perf_topology_routing(benchmark):

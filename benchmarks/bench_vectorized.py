@@ -107,6 +107,11 @@ def _topology(hosts_n, fattree_k, cache={}):
     return cache[key]
 
 
+def _count(run, name):
+    """One run's ``net.<name>`` counter, as an int."""
+    return int(run["registry"].value(f"net.{name}"))
+
+
 def _run_waves(engine, hosts_n, fattree_k, flows_per_wave, waves,
                collect=True):
     """Run the wave workload on one engine; return timing + evidence."""
@@ -133,7 +138,7 @@ def _run_waves(engine, hosts_n, fattree_k, flows_per_wave, waves,
     return {
         "elapsed_s": elapsed,
         "flows": completed,
-        "perf": net.perf,
+        "registry": sim.telemetry.registry,
         "tuples": tuples,
     }
 
@@ -148,10 +153,10 @@ def test_vectorized_engine_speedup_and_scale():
         identical = scalar["tuples"] == vectorized["tuples"]
         assert identical, \
             f"engines diverged at hosts={hosts_n}: flow tuples differ"
-        assert scalar["perf"]["recomputes"] == \
-            vectorized["perf"]["recomputes"]
-        assert scalar["perf"]["waterfill_rounds"] == \
-            vectorized["perf"]["waterfill_rounds"]
+        assert _count(scalar, "recomputes") == \
+            _count(vectorized, "recomputes")
+        assert _count(scalar, "waterfill_rounds") == \
+            _count(vectorized, "waterfill_rounds")
         speedup = scalar["elapsed_s"] / vectorized["elapsed_s"]
         rows.append({
             "hosts": hosts_n, "fattree_k": fattree_k,
@@ -161,8 +166,8 @@ def test_vectorized_engine_speedup_and_scale():
             "vectorized_s": round(vectorized["elapsed_s"], 4),
             "speedup": round(speedup, 2),
             "byte_identical": identical,
-            "recomputes": vectorized["perf"]["recomputes"],
-            "waterfill_rounds": vectorized["perf"]["waterfill_rounds"],
+            "recomputes": _count(vectorized, "recomputes"),
+            "waterfill_rounds": _count(vectorized, "waterfill_rounds"),
         })
         print(f"hosts={hosts_n:5d} flows={vectorized['flows']:7d} "
               f"scalar={scalar['elapsed_s']:7.2f}s "
@@ -194,10 +199,10 @@ def test_vectorized_engine_speedup_and_scale():
             "flows": scale["flows"],
             "completed": True,
             "vectorized_s": round(scale["elapsed_s"], 2),
-            "recomputes": scale["perf"]["recomputes"],
-            "waterfill_rounds": scale["perf"]["waterfill_rounds"],
+            "recomputes": _count(scale, "recomputes"),
+            "waterfill_rounds": _count(scale, "waterfill_rounds"),
             "allocator_seconds":
-                round(scale["perf"]["allocator_seconds"], 4),
+                round(scale["registry"].value("net.allocator_seconds"), 4),
         },
     }
     OUTPUT.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")

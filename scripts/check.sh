@@ -86,7 +86,7 @@ python -m pytest tests/test_capture_determinism.py tests/test_workload_plans.py 
     tests/test_plan_campaign.py -q
 
 # 10. Telemetry null-path smoke: an un-configured run must emit zero
-#    spans and zero probe samples while the perf counters stay live.
+#    spans and zero probe samples while the registry counters stay live.
 echo "== telemetry null-path smoke =="
 python - <<'EOF'
 from repro.api import run_capture
@@ -105,5 +105,13 @@ print(f"null path clean: {trace.flow_count()} flows, "
       f"{int(telemetry.registry.value('sim.events_fired'))} events, "
       "0 spans, 0 probe samples")
 EOF
+
+# 11. Benchmark-harness gate: perfbench drives only public entry points
+#     (CapturePoint.from_configs, CaptureStore.stats, the traced seam
+#     methods, ...), and its own tests import and exercise each of
+#     them, so deleting or renaming a name the harness uses fails here
+#     rather than in a later benchmark run.
+echo "== benchmark-harness suite =="
+python3 -m pytest perfbench/tests -q
 
 echo "check.sh: all gates passed"

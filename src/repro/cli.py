@@ -484,7 +484,8 @@ def cmd_capture(args: argparse.Namespace) -> int:
     runner = CampaignRunner(store=_resolve_store(args.store),
                             telemetry=telemetry)
     _, trace = runner.run_point(point)
-    origin = "store" if runner.stats.store_hits else "simulated"
+    origin = ("store" if runner.telemetry.registry.value("campaign.store_hits")
+              else "simulated")
     if args.plan is not None:
         from repro.analysis.plans import stage_table
 
@@ -659,16 +660,20 @@ def cmd_campaign(args: argparse.Namespace) -> int:
                       trace.flow_count(),
                       round(trace.total_bytes() / MB, 1),
                       round(result.completion_time, 2))
-    stats = runner.stats
+    registry = runner.telemetry.registry
+
+    def count(name: str) -> int:
+        return int(registry.value(f"campaign.{name}"))
+
     table.notes.append(
-        f"{elapsed:.2f}s wall; {stats.simulated} simulated "
-        f"({stats.parallel_simulated} in parallel), "
-        f"{stats.store_hits} store hit(s), {stats.memo_hits} memo hit(s)")
-    if stats.resumed_points or stats.retries or stats.deadline_kills:
+        f"{elapsed:.2f}s wall; {count('simulated')} simulated "
+        f"({count('parallel_simulated')} in parallel), "
+        f"{count('store_hits')} store hit(s), {count('memo_hits')} memo hit(s)")
+    if count("resumed_points") or count("retries") or count("deadline_kills"):
         table.notes.append(
-            f"supervision: {stats.resumed_points} resumed, "
-            f"{stats.retries} retrie(s), {stats.deadline_kills} deadline "
-            f"kill(s), {stats.pool_failures} pool failure(s)")
+            f"supervision: {count('resumed_points')} resumed, "
+            f"{count('retries')} retrie(s), {count('deadline_kills')} deadline "
+            f"kill(s), {count('pool_failures')} pool failure(s)")
     if store is not None:
         table.notes.append(f"store {store.root}: {store.stats.to_dict()}")
     print(render_table(table))

@@ -38,7 +38,7 @@ every independent branch before raising, ``skip-descendants`` finishes
 independent branches and returns a partial result without raising.
 In *every* mode the descendants of a failed node are explicitly marked
 ``BLOCKED`` (never silently skipped), mirroring the runner's explicit
-partial-result manifest.
+partial results (``None`` at quarantined points).
 """
 
 from __future__ import annotations
@@ -63,6 +63,8 @@ from repro.experiments.supervision import (
     Quarantine,
     RetryPolicy,
     classify_failure,
+    terminate_pool,
+    warm_pool,
 )
 from repro.obs.telemetry import Telemetry
 
@@ -868,19 +870,21 @@ class DAGRunner:
         its process is terminated (a stage cannot be cancelled from
         inside) and the attempt raises :class:`DeadlineExpired`.
         """
-        context = get_context("spawn")
-        pool = ProcessPoolExecutor(max_workers=1, mp_context=context)
-        future = pool.submit(
-            _run_stage_in_worker, node.stage, node.name, str(workdir),
-            dict(node.config),
-            {name: str(path) for name, path in inputs.items()},
-            dict(node.out_paths))
+        pool = ProcessPoolExecutor(max_workers=1,
+                                   mp_context=get_context("spawn"))
         try:
+            # Arm the deadline only once the worker has booted and
+            # imported the package: spawn start-up is not stage time.
+            warm_pool(pool, 1)
+            future = pool.submit(
+                _run_stage_in_worker, node.stage, node.name, str(workdir),
+                dict(node.config),
+                {name: str(path) for name, path in inputs.items()},
+                dict(node.out_paths))
             done, _ = wait([future], timeout=deadline,
                            return_when=FIRST_COMPLETED)
             if not done:
-                for process in list(getattr(pool, "_processes", {}).values()):
-                    process.terminate()
+                terminate_pool(pool)
                 raise DeadlineExpired(
                     f"node {node.name!r} exceeded {deadline:.3f}s deadline")
             future.result()

@@ -51,8 +51,13 @@ from __future__ import annotations
 
 import os
 import time as _time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import BrokenExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+    wait,
+)
 from dataclasses import dataclass, field
 from multiprocessing import get_context
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
@@ -79,6 +84,8 @@ from repro.experiments.supervision import (
     Quarantine,
     RetryPolicy,
     classify_failure,
+    terminate_pool,
+    warm_pool,
 )
 
 
@@ -308,36 +315,22 @@ def _thaw(items: Tuple[Tuple[str, Any], ...]) -> Dict[str, Any]:
     return dict(items)
 
 
-def _worker_pid() -> int:
-    """Trivial pool task: its answer proves a worker finished starting."""
-    return os.getpid()
-
-
-def _simulate_point(point: CapturePoint) -> Tuple[JobResult, JobTrace]:
-    """Module-level worker entry point (picklable under spawn)."""
-    return point.simulate()
-
-
 def _simulate_point_observed(
-        point: CapturePoint, config: Optional[TelemetryConfig],
-        delta_id: Optional[str] = None,
+        point: CapturePoint, config: TelemetryConfig, delta_id: str,
 ) -> Tuple[Tuple[JobResult, JobTrace], Dict[str, Any]]:
-    """Worker entry point that also ships telemetry back to the parent.
+    """Worker entry point: simulate, then ship telemetry to the parent.
 
     The worker builds its own telemetry from the picklable ``config``
-    (span sinks stay per-process — workers default to the null sink).
-    With a ``delta_id`` (the point's content hash) it returns an
-    identified *delta envelope* — the worker telemetry is fresh per
-    point, so the registry snapshot is exactly the increment — which
-    the parent folds into its :class:`~repro.obs.aggregate.
+    (span sinks stay per-process — workers default to the null sink)
+    and returns an identified *delta envelope* keyed by ``delta_id``
+    (the point's content hash) — the worker telemetry is fresh per
+    point, so the registry snapshot is exactly the increment.  The
+    parent folds it into its :class:`~repro.obs.aggregate.
     AggregateRegistry`: counters sum, gauges land under this worker's
-    label, and a re-delivered completion merges exactly once.  Without
-    one it returns the legacy plain snapshot.
+    label, and a re-delivered completion merges exactly once.
     """
-    telemetry = config.build() if config is not None else Telemetry.disabled()
+    telemetry = config.build()
     value = point.simulate(telemetry=telemetry)
-    if delta_id is None:
-        return value, telemetry.snapshot()
     envelope = delta_envelope(telemetry.registry,
                               source=f"worker-{os.getpid()}",
                               delta_id=delta_id,
@@ -345,37 +338,12 @@ def _simulate_point_observed(
     return value, envelope
 
 
-#: The per-level counters a runner keeps, in presentation order.
+#: The per-level counters a runner keeps on its telemetry registry as
+#: ``campaign.<name>``, in presentation order.
 _RUNNER_STAT_FIELDS = ("points", "points_completed", "memo_hits",
                        "store_hits", "simulated", "parallel_simulated",
                        "resumed_points", "retries", "deadline_kills",
                        "quarantined", "pool_failures", "degraded_serial")
-
-
-@dataclass
-class RunnerStats:
-    """Read-only snapshot of what a campaign run did, level by level.
-
-    Live counters moved onto the runner telemetry's registry
-    (``campaign.*``); this dataclass survives as the compatibility view
-    handed out by :attr:`CampaignRunner.stats`.
-    """
-
-    points: int = 0
-    points_completed: int = 0
-    memo_hits: int = 0
-    store_hits: int = 0
-    simulated: int = 0
-    parallel_simulated: int = 0
-    resumed_points: int = 0
-    retries: int = 0
-    deadline_kills: int = 0
-    quarantined: int = 0
-    pool_failures: int = 0
-    degraded_serial: int = 0
-
-    def to_dict(self) -> Dict[str, int]:
-        return {name: getattr(self, name) for name in _RUNNER_STAT_FIELDS}
 
 
 @dataclass
@@ -463,12 +431,6 @@ class CampaignRunner:
         self._counters = {name: registry.counter(f"campaign.{name}")
                           for name in _RUNNER_STAT_FIELDS}
 
-    @property
-    def stats(self) -> RunnerStats:
-        """Compatibility view of the registry-backed counters."""
-        return RunnerStats(**{name: int(counter.value)
-                              for name, counter in self._counters.items()})
-
     def _count(self, name: str, amount: int = 1) -> None:
         self._counters[name].value += amount
 
@@ -490,18 +452,6 @@ class CampaignRunner:
                       seed=point.seed,
                       completed=int(self._counters["points_completed"].value),
                       total=self._total_points)
-
-    def _absorb(self, envelope: Optional[Dict[str, Any]]) -> None:
-        """Fold a worker's telemetry return into the parent registry.
-
-        Identified delta envelopes (``source`` key) go through the
-        aggregate — idempotent per (source, delta_id), gauges labelled
-        per worker; legacy plain snapshots merge directly.
-        """
-        if envelope and "source" in envelope:
-            self.aggregate.apply(envelope)
-        else:
-            self.telemetry.absorb(envelope)
 
     # -- single point -------------------------------------------------------------
 
@@ -595,12 +545,6 @@ class CampaignRunner:
             raise CampaignPointsFailed(list(self.failures), results)
         return results  # type: ignore[return-value]
 
-    def manifest(self) -> Dict[str, Any]:
-        """Explicit partial-result manifest of the last :meth:`run`."""
-        return {"stats": self.stats.to_dict(),
-                "quarantined": [failure.to_dict()
-                                for failure in self.failures]}
-
     def _checkpoint(self, point: CapturePoint, key: str,
                     value: Tuple[JobResult, JobTrace]) -> None:
         """Append a resolved point to the journal (idempotent per key)."""
@@ -661,40 +605,12 @@ class CampaignRunner:
         pool = ProcessPoolExecutor(max_workers=size,
                                    mp_context=get_context("spawn"))
         if self.retry_policy.deadline_s is not None:
-            self._warm(pool, size)
+            warm_pool(pool, size)
         return pool
-
-    @staticmethod
-    def _warm(pool: ProcessPoolExecutor, size: int) -> None:
-        """Return once all ``size`` spawn workers have started.
-
-        A spawn worker boots an interpreter and imports the package
-        before it can run anything; that start-up must not count
-        against the first point's deadline, so deadlines are armed only
-        after every worker has answered a trivial task.  A pool that
-        breaks while starting is left for the round to report.
-        """
-        ready: set = set()
-        try:
-            while len(ready) < size:
-                futures = [pool.submit(_worker_pid) for _ in range(size)]
-                ready.update(future.result() for future in futures)
-        except BrokenExecutor:
-            pass
-
-    @staticmethod
-    def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-        """Kill every worker process (breaks the pool on purpose)."""
-        for process in list(getattr(pool, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
 
     def _run_pool(self, items: List[Tuple[str, CapturePoint]],
                   ) -> Tuple[Dict[str, Tuple[JobResult, JobTrace]],
                              List[PointFailure]]:
-        policy = self.retry_policy
         order = [key for key, _ in items]
         state = {key: _Supervised(point) for key, point in items}
         resolved: Dict[str, Tuple[JobResult, JobTrace]] = {}
@@ -704,7 +620,7 @@ class CampaignRunner:
         consecutive_breaks = 0
         # Workers re-create telemetry from the picklable config (null
         # span sink — span streams stay per-process) and return their
-        # registry snapshots, which the parent merges in.
+        # registries as delta envelopes, which the aggregate merges in.
         worker_config = self.telemetry.config()
         pool: Optional[ProcessPoolExecutor] = None
         try:
@@ -735,8 +651,6 @@ class CampaignRunner:
                 if broke == "organic":
                     self._count("pool_failures")
                     consecutive_breaks += 1
-                elif broke == "deadline":
-                    consecutive_breaks = 0
                 else:
                     consecutive_breaks = 0
                 if broke:
@@ -753,22 +667,43 @@ class CampaignRunner:
                    unresolved: set, failures: List[PointFailure],
                    ready_at: Dict[str, float],
                    worker_config: TelemetryConfig) -> str:
-        """Submit one batch and supervise it to quiescence.
+        """Run one batch of points on ``pool`` and supervise it to quiescence.
+
+        At most ``workers`` points are in flight at once (a pool has
+        ``workers`` processes, or one per point when fewer were left),
+        so every submitted point has a started, idle worker: its
+        deadline clock starts when a worker takes it, never while it
+        waits in the pool's queue behind other points.  Points not yet
+        submitted when the pool breaks stay unresolved for the next
+        round.
 
         Returns ``""`` when the pool survived, ``"deadline"`` when the
         watchdog killed it deliberately, ``"organic"`` when a worker
         died underneath us (SIGKILL, OOM, crash).
         """
         policy = self.retry_policy
-        futures = {pool.submit(_simulate_point_observed, state[key].point,
-                               worker_config, key): key
-                   for key in round_keys}
-        started = {key: _time.monotonic() for key in round_keys}
+        queued = list(reversed(round_keys))  # pop() takes them in order
+        futures: Dict[Future, str] = {}
+        started: Dict[Future, float] = {}
+        remaining: set = set()
         expired: set = set()
         deliberate_kill = False
         saw_break = False
-        remaining = set(futures)
-        while remaining:
+        while True:
+            while (queued and len(remaining) < self.workers
+                   and not (saw_break or deliberate_kill)):
+                key = queued.pop()
+                try:
+                    future = pool.submit(_simulate_point_observed,
+                                         state[key].point, worker_config, key)
+                except BrokenExecutor:
+                    saw_break = True
+                    break
+                futures[future] = key
+                started[future] = _time.monotonic()
+                remaining.add(future)
+            if not remaining:
+                break
             timeout = _WATCHDOG_TICK if (policy.deadline_s is not None
                                          and not saw_break) else None
             done, remaining = wait(remaining, timeout=timeout,
@@ -776,7 +711,7 @@ class CampaignRunner:
             for future in done:
                 key = futures[future]
                 try:
-                    value, snapshot = future.result()
+                    value, envelope = future.result()
                 except BrokenExecutor:
                     # The pool collapsed under this future.  Either we
                     # killed it (deadline watchdog) or a worker died.
@@ -798,25 +733,24 @@ class CampaignRunner:
                     self._point_failed(key, state[key], exc, unresolved,
                                        failures, ready_at)
                     continue
-                self._absorb(snapshot)
+                self.aggregate.apply(envelope)
                 resolved[key] = value
                 unresolved.discard(key)
                 self._resolved(state[key].point, "simulated")
-            if saw_break:
+            if saw_break or deliberate_kill:
                 # A broken pool fails all outstanding futures promptly;
                 # drop the timeout and drain them.
                 continue
             if policy.deadline_s is not None:
                 now = _time.monotonic()
-                overdue = [key for future, key in futures.items()
-                           if not future.done()
-                           and now - started[key] > policy.deadline_s]
+                overdue = [futures[future] for future in remaining
+                           if now - started[future] > policy.deadline_s]
                 if overdue:
                     expired.update(overdue)
                     self._count("deadline_kills", len(overdue))
                     deliberate_kill = True
-                    self._terminate_pool(pool)
-        if saw_break:
+                    terminate_pool(pool)
+        if saw_break or deliberate_kill:
             return "deadline" if deliberate_kill else "organic"
         return ""
 

@@ -253,9 +253,9 @@ _STAT_FIELDS = ("hits", "misses", "writes", "corrupt", "stale",
 class StoreStats:
     """Read-only snapshot of one :class:`CaptureStore`'s counters.
 
-    The live counters moved onto a telemetry
+    The live counters are on a telemetry
     :class:`~repro.obs.metrics.MetricsRegistry` (``store.*``); this
-    dataclass survives as the compatibility view handed out by
+    dataclass is the benchmark-facing store view handed out by
     :attr:`CaptureStore.stats`.
     """
 
@@ -286,7 +286,7 @@ class CaptureStore:
 
     @property
     def stats(self) -> StoreStats:
-        """Compatibility view of the registry-backed counters."""
+        """Snapshot of the registry-backed ``store.*`` counters."""
         return StoreStats(**{name: int(counter.value)
                              for name, counter in self._counters.items()})
 

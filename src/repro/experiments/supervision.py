@@ -23,12 +23,16 @@ discard every in-flight result.  This module supplies the pieces the
   failures of the same point are recognisably "the same crash".
 * **quarantine** (:class:`Quarantine`) — a ``quarantine.jsonl`` sidecar
   recording each poisoned point's fingerprints; the campaign completes
-  with an explicit partial-result manifest instead of dying.
+  with explicit partial results instead of dying.
 * **checkpoint journal** (:class:`CheckpointJournal`) — an append-only
   JSONL file recording every completed point *with its encoded store
   payload*, so ``keddah campaign --resume <journal>`` replays completed
   points byte-identically without re-simulating, even when no
   persistent store is configured.
+* **watchdog pools** (:func:`warm_pool`, :func:`terminate_pool`) — the
+  spawn-pool start-up and kill helpers shared by the campaign runner
+  and the pipeline DAG, so a deadline is armed only once a worker is
+  ready and a missed one kills the worker.
 
 Everything here is host-side machinery: it never touches simulated
 time, and resolved captures are byte-identical whether a point
@@ -40,10 +44,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
 import traceback
 from concurrent.futures import BrokenExecutor
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
@@ -78,6 +83,38 @@ def classify_failure(exc: BaseException) -> str:
     if isinstance(exc, _TRANSIENT_TYPES):
         return TRANSIENT
     return DETERMINISTIC
+
+
+def worker_pid() -> int:
+    """Trivial pool task: its answer proves a worker finished starting."""
+    return os.getpid()
+
+
+def warm_pool(pool: ProcessPoolExecutor, size: int) -> None:
+    """Return once all ``size`` spawn workers of ``pool`` have started.
+
+    A spawn worker boots an interpreter and imports the package before
+    it can run anything; that start-up must not count against a
+    deadline, so deadlines are armed only after every worker has
+    answered a trivial task.  A pool that breaks while starting is left
+    for the caller's next submission to report.
+    """
+    ready: set = set()
+    try:
+        while len(ready) < size:
+            futures = [pool.submit(worker_pid) for _ in range(size)]
+            ready.update(future.result() for future in futures)
+    except BrokenExecutor:
+        pass
+
+
+def terminate_pool(pool: ProcessPoolExecutor) -> None:
+    """Kill every worker process (breaks the pool on purpose)."""
+    for process in list(getattr(pool, "_processes", {}).values()):
+        try:
+            process.terminate()
+        except Exception:
+            pass
 
 
 def _traceback_text(exc: BaseException) -> str:

@@ -229,24 +229,6 @@ class HadoopCluster:
         results = [driver.result for driver in drivers]
         return results, [self.trace_for(driver) for driver in drivers]
 
-    # -- performance ----------------------------------------------------------------------
-
-    def perf_report(self) -> Dict[str, float]:
-        """Substrate performance counters for the whole run.
-
-        Combines the event kernel's counters (events fired/cancelled,
-        heap compactions) with the fluid network's (rate recomputations,
-        flushes, coalesced updates, cumulative allocator time).  The
-        substrate benchmarks print this so the BENCH trajectory can
-        track engine efficiency, not just wall time.
-        """
-        report: Dict[str, float] = {}
-        for key, value in self.sim.perf.items():
-            report[f"sim.{key}"] = value
-        for key, value in self.net.perf.items():
-            report[f"net.{key}"] = value
-        return report
-
     # -- capture extraction ---------------------------------------------------------------
 
     def trace_for(self, driver: JobDriver) -> JobTrace:

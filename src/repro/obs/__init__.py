@@ -12,7 +12,7 @@ The single facade the engine is instrumented through::
     telemetry.probes.series       # sampled utilisation/backlog series
 
 Everything is disabled by default: an un-configured run keeps its
-counters (they replaced the old ad-hoc perf dicts) but emits no spans,
+counters (the registry is the only counter API) but emits no spans,
 schedules no probes and allocates no sinks.
 
 The live-observability daemon (:class:`repro.obs.server.
@@ -23,11 +23,9 @@ simulation hot path never needs.
 
 from repro.obs.aggregate import (
     AggregateRegistry,
-    DeltaTracker,
     EventBroker,
     Subscription,
     delta_envelope,
-    registry_delta,
 )
 from repro.obs.alerts import (
     AlertEngine,
@@ -71,14 +69,12 @@ __all__ = [
     "DEFAULT_PROBE_INTERVAL",
     "ClusterProbes",
     "Counter",
-    "DeltaTracker",
     "EventBroker",
     "Subscription",
     "delta_envelope",
     "load_rules",
     "parse_rule",
     "parse_rules",
-    "registry_delta",
     "FileSink",
     "Gauge",
     "Histogram",

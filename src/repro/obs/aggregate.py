@@ -1,15 +1,14 @@
 """Mergeable registries and live event fan-out for ``keddah serve``.
 
-Campaign workers used to ship one full registry snapshot per completed
-point, and the parent folded it in with ``Telemetry.absorb`` — fine for
-an end-of-run report, useless for a live view: a re-delivered snapshot
-double-counts, and two workers' gauges overwrite each other blindly.
-This module is the aggregation layer the serve daemon stands on:
+A plain registry merge is fine for an end-of-run report but useless
+for a live view: a re-delivered snapshot double-counts, and two
+workers' gauges overwrite each other blindly.  This module is the one
+path by which worker telemetry reaches the parent, and the aggregation
+layer the serve daemon stands on:
 
-* :func:`registry_delta` / :class:`DeltaTracker` — turn a registry into
-  *incremental* deltas (what changed since the last shipment), so a
-  long-lived worker can stream updates instead of ever-growing
-  snapshots;
+* :func:`delta_envelope` — what a campaign worker ships per completed
+  point: its (fresh, per-point) registry as one delta identified by
+  the point's content hash;
 * :class:`AggregateRegistry` — the parent-side merge target.  Counters
   and histogram buckets **add**, gauges are **last-write-wins under a
   ``worker`` label** (each source keeps its own gauge series), and every
@@ -31,7 +30,7 @@ import queue
 import threading
 import time as _time
 from collections import deque
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.obs.metrics import MetricsRegistry
 
@@ -39,77 +38,7 @@ from repro.obs.metrics import MetricsRegistry
 WORKER_LABEL = "worker"
 
 
-# -- delta computation (worker side) -------------------------------------------------
-
-
-def _entry_key(entry: Dict[str, Any]) -> Tuple[str, str, Tuple[Tuple[str, str], ...]]:
-    labels = entry.get("labels") or {}
-    return (entry["type"], entry["name"],
-            tuple(sorted((str(k), str(v)) for k, v in labels.items())))
-
-
-def registry_delta(previous: Iterable[Dict[str, Any]],
-                   current: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
-    """Snapshot entries representing ``current - previous``.
-
-    Counters carry the value increase (entries that did not move are
-    dropped); histograms carry per-bucket count increases plus the
-    sum/count increase; gauges always pass through their current value
-    (a gauge's delta *is* its level).  Metrics absent from ``previous``
-    appear whole.
-    """
-    before = {_entry_key(entry): entry for entry in previous}
-    delta: List[Dict[str, Any]] = []
-    for entry in current:
-        prior = before.get(_entry_key(entry))
-        if prior is None:
-            if entry["type"] != "counter" or entry["value"]:
-                delta.append(dict(entry))
-            continue
-        if entry["type"] == "counter":
-            moved = entry["value"] - prior["value"]
-            if moved:
-                changed = dict(entry)
-                changed["value"] = moved
-                delta.append(changed)
-        elif entry["type"] == "gauge":
-            delta.append(dict(entry))
-        else:  # histogram
-            counts = [now - then for now, then
-                      in zip(entry["counts"], prior["counts"])]
-            if any(counts):
-                changed = dict(entry)
-                changed["counts"] = counts
-                changed["sum"] = entry["sum"] - prior["sum"]
-                changed["count"] = entry["count"] - prior["count"]
-                delta.append(changed)
-    return delta
-
-
-class DeltaTracker:
-    """Produces successive delta envelopes for one registry.
-
-    Each call to :meth:`delta` returns everything that changed since the
-    previous call, wrapped in an envelope carrying the tracker's
-    ``source`` name and a monotonically increasing per-source ``seq``
-    (which doubles as the delta id for idempotent re-delivery).
-    """
-
-    def __init__(self, registry: MetricsRegistry, source: str):
-        self.registry = registry
-        self.source = source
-        self._previous: List[Dict[str, Any]] = []
-        self._seq = 0
-
-    def delta(self, **extra: Any) -> Dict[str, Any]:
-        current = self.registry.snapshot()
-        entries = registry_delta(self._previous, current)
-        self._previous = current
-        self._seq += 1
-        envelope = {"source": self.source, "delta_id": f"seq-{self._seq}",
-                    "metrics": entries}
-        envelope.update(extra)
-        return envelope
+# -- the worker side -----------------------------------------------------------------
 
 
 def delta_envelope(registry: MetricsRegistry, source: str, delta_id: str,
@@ -144,11 +73,10 @@ class AggregateRegistry:
     ============  ==================================================
 
     An envelope is ``{"source": str, "delta_id": str, "metrics": [...]}``
-    (:func:`delta_envelope` / :class:`DeltaTracker` build them).  The
-    ``(source, delta_id)`` pair identifies the delta: applying the same
-    pair twice counts once — the runner may re-deliver a completion
-    after a pool collapse, and a resumed journal replays points the
-    aggregate has already seen.
+    (:func:`delta_envelope` builds them).  The ``(source, delta_id)``
+    pair identifies the delta: applying the same pair twice counts once
+    — the runner may re-deliver a completion after a pool collapse, and
+    a resumed journal replays points the aggregate has already seen.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None):

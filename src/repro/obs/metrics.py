@@ -1,12 +1,12 @@
 """Process-local metrics: counters, gauges and fixed-bucket histograms.
 
-The registry is the home of every counter the engine used to keep as
-ad-hoc instance attributes (``Simulator.perf``, ``FlowNetwork.perf``,
-the capture store's ``StoreStats``).  Components create their metrics
-once at construction time and mutate plain ``value`` attributes on the
-hot path, so instrumentation costs one attribute add — the old
-``self.events_fired += 1`` in different clothes — while everything
-becomes enumerable, exportable and mergeable across processes.
+The registry is the only counter API: every engine, campaign and store
+counter (``sim.*``, ``net.*``, ``campaign.*``, ``store.*``) lives here
+and is read with ``registry.value(name)``.  Components create their
+metrics once at construction time and mutate plain ``value``
+attributes on the hot path, so instrumentation costs one attribute
+add, while everything stays enumerable, exportable and mergeable
+across processes.
 
 Design points:
 
@@ -18,8 +18,9 @@ Design points:
   the hot path pays nothing at all.
 * ``snapshot()`` produces a plain picklable list of dicts; ``merge()``
   folds such a snapshot back in (counters and histograms add, gauges
-  take the incoming value).  The campaign runner uses this pair to
-  aggregate per-worker registries back into the parent process.
+  take the incoming value).  Campaign workers ship snapshots inside
+  :func:`~repro.obs.aggregate.delta_envelope`; the telemetry directory
+  reader of ``keddah serve`` merges them back.
 * ``timeit(name)`` observes wall-clock seconds into a histogram — for
   host-side costs (store I/O, fit time), never simulated time.
 """

@@ -4,8 +4,8 @@ Every instrumented component reaches its telemetry the same way — via
 the simulator (``sim.telemetry``) or an explicit constructor argument —
 so there is exactly one switch that decides whether a run is observed:
 
-* **Disabled** (the default): the registry still works — it *is* the
-  home of the engine's perf counters, replacing the old ad-hoc dicts —
+* **Disabled** (the default): the registry still works — it is the
+  only home of the engine's counters (``sim.*``, ``net.*``, ...) —
   but the tracer is a no-op returning a shared null span, no sink
   exists, and no probe events are ever scheduled.  The overhead over
   the pre-telemetry engine is a handful of attribute reads, bounded in
@@ -19,15 +19,17 @@ only *read* engine state, so capture traces are byte-identical either
 way (pinned by the determinism tests).
 
 :class:`TelemetryConfig` is the picklable recipe used to re-create an
-equivalent telemetry in campaign worker processes; workers send their
-registry snapshots back and the parent merges them
-(:meth:`Telemetry.absorb`).
+equivalent telemetry in campaign worker processes; each worker ships its
+registry back as one identified delta envelope
+(:func:`~repro.obs.aggregate.delta_envelope`), which the parent folds
+into its registry through an
+:class:`~repro.obs.aggregate.AggregateRegistry`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.probes import ProbeLog
@@ -116,17 +118,6 @@ class Telemetry:
                                DEFAULT_PROBE_INTERVAL,
                                sink=sink,
                                probe_max_samples=self.probe_max_samples)
-
-    def snapshot(self) -> Dict[str, Any]:
-        """Picklable registry + tracer counters (what workers return)."""
-        return {"metrics": self.registry.snapshot(),
-                "spans_emitted": self.tracer.spans_emitted}
-
-    def absorb(self, snapshot: Optional[Dict[str, Any]]) -> None:
-        """Merge a worker's :meth:`snapshot` into this telemetry."""
-        if not snapshot:
-            return
-        self.registry.merge(snapshot.get("metrics", ()))
 
     # -- convenience ---------------------------------------------------------------
 

@@ -112,12 +112,12 @@ def test_warm_store_rerun_executes_zero_simulations(tmp_path):
     points = _points()
     cold_runner = CampaignRunner(store=store, workers=1)
     cold = cold_runner.run(points)
-    assert cold_runner.stats.simulated == len(points)
+    assert cold_runner.telemetry.registry.value("campaign.simulated") == len(points)
 
     warm_runner = CampaignRunner(store=store, workers=1)
     warm = warm_runner.run(points)
-    assert warm_runner.stats.simulated == 0
-    assert warm_runner.stats.store_hits == len(points)
+    assert warm_runner.telemetry.registry.value("campaign.simulated") == 0
+    assert warm_runner.telemetry.registry.value("campaign.store_hits") == len(points)
     for index, ((_, cold_trace), (_, warm_trace)) in enumerate(zip(cold, warm)):
         assert _trace_jsonl(cold_trace, tmp_path, f"c{index}.jsonl") == \
             _trace_jsonl(warm_trace, tmp_path, f"w{index}.jsonl")
@@ -129,7 +129,8 @@ def test_runner_preserves_order_and_dedups_within_a_run():
     points[2] = points[0]
     runner = CampaignRunner(store=None, workers=1)
     outcomes = runner.run(points)
-    assert runner.stats.simulated == 2  # the duplicate resolved once
+    # The duplicate resolved once.
+    assert runner.telemetry.registry.value("campaign.simulated") == 2
     assert outcomes[0][1].meta.job_id == outcomes[2][1].meta.job_id
     assert outcomes[0][1].meta.input_bytes != outcomes[1][1].meta.input_bytes
 
@@ -237,9 +238,10 @@ def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
 
     assert [outcome is None for outcome in outcomes] == [False] * 4 + [True]
     assert [failure.key for failure in runner.failures] == [poison_key]
-    assert runner.stats.quarantined == 1
-    assert runner.stats.retries >= 1        # the transient OSError
-    assert runner.stats.pool_failures >= 1  # the SIGKILLed worker
+    registry = runner.telemetry.registry
+    assert registry.value("campaign.quarantined") == 1
+    assert registry.value("campaign.retries") >= 1        # the transient OSError
+    assert registry.value("campaign.pool_failures") >= 1  # the SIGKILLed worker
     assert [failure.key for failure in Quarantine.load(quarantine_path)] \
         == [poison_key]
 
@@ -250,8 +252,8 @@ def test_faulty_campaign_completes_quarantines_and_resumes_byte_identical(
         retry_policy=RetryPolicy(max_attempts=1, base_delay=0.0),
         journal=CheckpointJournal(journal_path), strict=False)
     replayed = resumed.run(points)
-    assert resumed.stats.resumed_points == 4
-    assert resumed.stats.simulated == 1
+    assert resumed.telemetry.registry.value("campaign.resumed_points") == 4
+    assert resumed.telemetry.registry.value("campaign.simulated") == 1
     assert replayed[4] is None
 
     # Byte-identity against an uninterrupted serial run (the fault

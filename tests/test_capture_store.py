@@ -106,7 +106,8 @@ def test_truncated_entry_falls_back_to_resimulation(populated):
 
     runner = CampaignRunner(store=store, workers=1)
     _, again = runner.run_point(point)
-    assert runner.stats.simulated == 1  # re-simulated, did not raise
+    # Re-simulated, did not raise.
+    assert runner.telemetry.registry.value("campaign.simulated") == 1
     assert [f.to_dict() for f in again.flows] == \
         [f.to_dict() for f in trace.flows]
     assert store.get(point.key_dict()) is not None  # overwrote the bad entry
@@ -133,7 +134,7 @@ def test_stale_format_version_falls_back_to_resimulation(populated):
 
     runner = CampaignRunner(store=store, workers=1)
     runner.run_point(point)
-    assert runner.stats.simulated == 1
+    assert runner.telemetry.registry.value("campaign.simulated") == 1
 
 
 def test_mismatched_result_and_trace_is_corrupt(populated):

@@ -8,6 +8,7 @@ byte-identical captures — stay *out* of every cache/store key.
 
 import pytest
 
+from repro.api import run_capture
 from repro.capture.records import JobTrace
 from repro.cli import build_parser
 from repro.cluster.config import ClusterSpec, HadoopConfig
@@ -18,6 +19,7 @@ from repro.experiments.runner import CapturePoint
 from repro.generation.replay import replay_trace
 from repro.net.backend import ENGINE_NAMES, make_backend
 from repro.net.network import FlowNetwork
+from repro.obs import Telemetry
 from repro.simkit.core import Simulator
 
 pytest.importorskip("numpy")
@@ -83,7 +85,6 @@ def test_cli_accepts_engine_on_all_three_commands():
 def test_make_backend_passes_engine_to_fluid():
     net = make_backend("fluid", _sim(), _topology(), engine="vectorized")
     assert net.engine == "vectorized"
-    assert net.perf["engine"] == "vectorized"
     assert type(net.allocator).__name__ == "VectorizedFairShareAllocator"
 
 
@@ -103,7 +104,7 @@ def test_non_fluid_backends_ignore_engine():
 
 def test_engine_gauge_and_perf_counters():
     sim = _sim()
-    net = make_backend("fluid", sim, _topology(), engine="vectorized")
+    make_backend("fluid", sim, _topology(), engine="vectorized")
     snapshot = sim.telemetry.registry.snapshot()
     gauges = {entry["name"] for entry in snapshot}
     assert "net.engine" in gauges
@@ -112,9 +113,40 @@ def test_engine_gauge_and_perf_counters():
                    if entry["name"] == "net.engine"]
     assert {"engine": "vectorized"} in [entry["labels"]
                                         for entry in engine_rows]
-    for key in ("engine", "recomputes", "waterfill_rounds",
-                "allocator_seconds", "flushes"):
-        assert key in net.perf
+
+
+#: Kernel counters every run registers, whatever its substrate.
+_SIM_METRICS = ("sim.events_fired", "sim.events_cancelled",
+                "sim.heap_compactions", "sim.heap_size", "sim.pending")
+
+#: Counters every transport backend registers (batched admission and
+#: lazy done signals live on the shared seam).
+_BACKEND_METRICS = ("net.flows_admitted_batched", "net.done_signals_skipped")
+
+#: The fluid engine's own counters (both engines register the same set).
+_FLUID_METRICS = ("net.recomputes", "net.waterfill_rounds",
+                  "net.allocator_seconds", "net.updates_requested",
+                  "net.flushes", "net.flows_batched", "net.bulk_harvests")
+
+
+@pytest.mark.parametrize("backend, engine, metrics", [
+    ("fluid", "scalar", _FLUID_METRICS),
+    ("fluid", "vectorized", _FLUID_METRICS),
+    ("analytic", "scalar",
+     ("net.waves", "net.flows_started", "net.flows_completed")),
+    ("record", "scalar", ("net.intents_recorded",)),
+], ids=["fluid-scalar", "fluid-vectorized", "analytic", "record"])
+def test_capture_registers_every_engine_counter(backend, engine, metrics):
+    telemetry = Telemetry.disabled()
+    run_capture("terasort", 0.125, nodes=4, seed=1, telemetry=telemetry,
+                backend=backend, engine=engine)
+    registry = telemetry.registry
+    names = {metric.name for metric in registry.metrics()}
+    missing = set(_SIM_METRICS + _BACKEND_METRICS + metrics) - names
+    assert not missing, f"{backend}/{engine} lacks {sorted(missing)}"
+    assert registry.value("sim.events_fired") > 0
+    if backend == "fluid":
+        assert registry.value("net.engine", engine=engine) == 1.0
 
 
 # -- key invariance ---------------------------------------------------------------------

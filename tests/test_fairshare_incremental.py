@@ -194,9 +194,12 @@ def test_seeded_terasort_trace_identical_with_and_without_batching():
     legacy_cluster, legacy = _run_terasort(False)
     assert _comparable(batched) == _comparable(legacy)
     # The whole point: batching strictly reduces recompute work.
-    assert batched_cluster.net.perf["recomputes"] < legacy_cluster.net.perf["recomputes"]
-    assert batched_cluster.net.perf["flows_batched"] > 0
-    assert legacy_cluster.net.perf["flushes"] == 0
+    batched_registry = batched_cluster.telemetry.registry
+    legacy_registry = legacy_cluster.telemetry.registry
+    assert (batched_registry.value("net.recomputes")
+            < legacy_registry.value("net.recomputes"))
+    assert batched_registry.value("net.flows_batched") > 0
+    assert legacy_registry.value("net.flushes") == 0
 
 
 # -- the vectorized engine vs the scalar oracle ---------------------------------------
@@ -400,9 +403,9 @@ def test_seeded_terasort_capture_byte_identical_across_engines(tmp_path):
     vector_trace.to_jsonl(str(vector_path))
     assert scalar_path.read_bytes() == vector_path.read_bytes()
     # Both engines did the same logical work, counted identically.
-    assert (scalar_cluster.net.perf["recomputes"]
-            == vector_cluster.net.perf["recomputes"])
-    assert (scalar_cluster.net.perf["waterfill_rounds"]
-            == vector_cluster.net.perf["waterfill_rounds"])
-    assert scalar_cluster.net.perf["engine"] == "scalar"
-    assert vector_cluster.net.perf["engine"] == "vectorized"
+    scalar_registry = scalar_cluster.telemetry.registry
+    vector_registry = vector_cluster.telemetry.registry
+    for name in ("net.recomputes", "net.waterfill_rounds"):
+        assert scalar_registry.value(name) == vector_registry.value(name)
+    assert scalar_registry.value("net.engine", engine="scalar") == 1.0
+    assert vector_registry.value("net.engine", engine="vectorized") == 1.0

@@ -374,3 +374,18 @@ def test_deadline_kills_a_registry_stage(tmp_path):
     result = runner.run()
     assert result.states() == {"napper": QUARANTINED}
     assert "deadline" in result.outcomes["napper"].reason.lower()
+
+
+def test_deadline_excludes_worker_start_up(tmp_path):
+    # Booting a spawn worker and importing the package takes longer
+    # than this deadline on its own; only the 0.3 s stage may count.
+    dag = PipelineDAG("quick")
+    dag.add(StageNode("napper", "sleep", config={"seconds": 0.3},
+                      out_paths={"marker": "marker.txt"}))
+    runner = DAGRunner(
+        dag, tmp_path / "pl",
+        retry_policy=RetryPolicy(max_attempts=1, deadline_s=1.5),
+        on_failure=SKIP_DESCENDANTS)
+    result = runner.run()
+    assert result.states() == {"napper": DONE}
+    assert result.outcomes["napper"].attempts == 1

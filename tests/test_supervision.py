@@ -77,6 +77,14 @@ class HangOncePoint(CapturePoint):
         return _clean_twin(self).simulate(telemetry)
 
 
+class SleepPoint(CapturePoint):
+    """Sleeps ``seconds`` of wall-clock time, then runs clean."""
+
+    def simulate(self, telemetry=None):
+        time.sleep(float(dict(self.job_kwargs)["seconds"]))
+        return _clean_twin(self).simulate(telemetry)
+
+
 class KillOncePoint(CapturePoint):
     """SIGKILLs its worker process on first contact, then runs clean.
 
@@ -295,8 +303,8 @@ def test_transient_failure_is_retried_in_place(tmp_path):
     runner = CampaignRunner(store=None, workers=1, retry_policy=FAST_RETRIES)
     (result, trace), = runner.run([flaky])
     assert trace.flow_count() > 0
-    assert runner.stats.retries == 1
-    assert runner.stats.quarantined == 0
+    assert runner.telemetry.registry.value("campaign.retries") == 1
+    assert runner.telemetry.registry.value("campaign.quarantined") == 0
     assert not runner.failures
 
 
@@ -310,15 +318,14 @@ def test_poison_point_quarantines_and_campaign_completes(tmp_path):
     outcomes = runner.run([healthy, poison])
     assert outcomes[0] is not None
     assert outcomes[1] is None
-    assert runner.stats.quarantined == 1
+    assert runner.telemetry.registry.value("campaign.quarantined") == 1
     # Deterministic errors are not retried: one attempt, no backoff.
-    assert runner.stats.retries == 0
+    assert runner.telemetry.registry.value("campaign.retries") == 0
     assert runner.failures[0].attempts == 1
     assert runner.failures[0].fingerprints[0].classification == DETERMINISTIC
     loaded = Quarantine.load(quarantine_path)
     assert [failure.key for failure in loaded] == [poison.key()]
-    manifest = runner.manifest()
-    assert manifest["quarantined"][0]["job"] == "grep"
+    assert runner.failures[0].to_dict()["job"] == "grep"
 
 
 def test_strict_run_raises_after_completing_everything_else():
@@ -345,9 +352,27 @@ def test_deadline_watchdog_kills_hung_point_and_retry_succeeds(tmp_path):
                                  deadline_s=3.0))
     (result, trace), = runner.run([hang])
     assert trace.flow_count() > 0
-    assert runner.stats.deadline_kills >= 1
-    assert runner.stats.retries >= 1
-    assert runner.stats.quarantined == 0
+    assert runner.telemetry.registry.value("campaign.deadline_kills") >= 1
+    assert runner.telemetry.registry.value("campaign.retries") >= 1
+    assert runner.telemetry.registry.value("campaign.quarantined") == 0
+
+
+def test_deadline_clock_starts_when_a_worker_takes_the_point():
+    # Four 1.5 s points on two workers: the last two wait ~1.5 s for a
+    # free worker.  Each point alone fits its 2.5 s deadline easily; a
+    # clock that ran while the point sat in the pool's queue would
+    # kill the queued pair.
+    points = [SleepPoint.from_campaign("grep", 0.0625, 40 + index, SMALL,
+                                       {"seconds": 1.5})
+              for index in range(4)]
+    runner = CampaignRunner(
+        store=None, workers=2, strict=False,
+        retry_policy=RetryPolicy(max_attempts=1, deadline_s=2.5))
+    outcomes = runner.run(points)
+    registry = runner.telemetry.registry
+    assert registry.value("campaign.deadline_kills") == 0
+    assert not runner.failures
+    assert all(outcome is not None for outcome in outcomes)
 
 
 def test_repeated_pool_collapse_degrades_to_serial(tmp_path):
@@ -358,6 +383,6 @@ def test_repeated_pool_collapse_degrades_to_serial(tmp_path):
                             pool_failure_limit=1)
     outcomes = runner.run([healthy, kill])
     assert all(outcome is not None for outcome in outcomes)
-    assert runner.stats.pool_failures >= 1
-    assert runner.stats.degraded_serial >= 1
+    assert runner.telemetry.registry.value("campaign.pool_failures") >= 1
+    assert runner.telemetry.registry.value("campaign.degraded_serial") >= 1
     assert not runner.failures

@@ -138,16 +138,6 @@ def test_telemetry_config_rejects_unknown_sink():
         TelemetryConfig(enabled=True, sink="teapot").build_sink()
 
 
-def test_snapshot_absorb_merges_counters():
-    worker = Telemetry.disabled()
-    worker.registry.counter("sim.events_fired").inc(10)
-    parent = Telemetry.enabled_in_memory()
-    parent.registry.counter("sim.events_fired").inc(1)
-    parent.absorb(worker.snapshot())
-    parent.absorb(None)  # tolerated
-    assert parent.registry.value("sim.events_fired") == 11.0
-
-
 def _points(sizes=(0.125, 0.25)):
     campaign = CampaignConfig(nodes=4, hosts_per_rack=2, num_reducers=2)
     return [CapturePoint.from_campaign("terasort", size, 90 + index, campaign)
@@ -181,14 +171,14 @@ def test_campaign_parallel_telemetry_absorbs_workers():
     # Workers' engine counters came back and merged.
     assert telemetry.registry.value("sim.events_fired") > 0
     assert telemetry.registry.value("net.flows_completed") > 0
-    assert runner.stats.simulated == 2
+    assert runner.telemetry.registry.value("campaign.simulated") == 2
 
 
 def test_runner_stats_compat_view():
     runner = CampaignRunner(workers=1)
     points = _points(sizes=(0.125,)) * 2  # the same point twice
     runner.run(points)
-    stats = runner.stats
-    assert stats.points == 2
-    assert stats.simulated == 1  # duplicate point simulated once
-    assert stats.to_dict()["parallel_simulated"] == 0
+    registry = runner.telemetry.registry
+    assert registry.value("campaign.points") == 2
+    assert registry.value("campaign.simulated") == 1  # duplicate simulated once
+    assert registry.value("campaign.parallel_simulated") == 0
