@@ -30,8 +30,10 @@ import pytest
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.experiments.runner import CampaignRunner, CapturePoint
-from repro.obs import AlertEngine, AlertRule, EventBroker, Telemetry
+from repro.obs.aggregate import EventBroker
+from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.server import serve_telemetry
+from repro.obs.telemetry import Telemetry
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
 RUNS = 3

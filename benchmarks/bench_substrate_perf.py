@@ -12,11 +12,11 @@ trajectory tracks efficiency alongside wall time.
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.topology import build_topology
 from repro.cluster.units import MB
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
 from repro.net.backend import ENGINE_NAMES
 from repro.net.fairshare import FairShareAllocator, max_min_rates
-from repro.simkit import Simulator
+from repro.simkit.core import Simulator
 
 
 def _fabric(num_links=64, num_flows=200):

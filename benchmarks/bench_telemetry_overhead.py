@@ -31,9 +31,9 @@ import pytest
 
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.obs.trace import Tracer
 
 OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_telemetry.json"

@@ -14,7 +14,7 @@ from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB, fmt_bytes
 from repro.faults import DECOMMISSION, FaultEvent, FaultInjector
 from repro.hdfs.balancer import Balancer
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
 
 

@@ -13,7 +13,7 @@ from repro.analysis.jct import makespan
 from repro.analysis.tables import Table, render_table
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
 
 

@@ -13,7 +13,9 @@ from repro.analysis.tables import Table, render_table
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.modeling.model import fit_job_model
-from repro.workloads import MICRO_MIX, PoissonArrivals, WorkloadSuite
+from repro.workloads.arrivals import PoissonArrivals
+from repro.workloads.hibench import MICRO_MIX
+from repro.workloads.suite import WorkloadSuite
 
 
 def main() -> None:

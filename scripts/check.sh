@@ -90,7 +90,8 @@ python -m pytest tests/test_capture_determinism.py tests/test_workload_plans.py 
 echo "== telemetry null-path smoke =="
 python - <<'EOF'
 from repro.api import run_capture
-from repro.obs import NULL_SINK, Telemetry
+from repro.obs.telemetry import Telemetry
+from repro.obs.trace import NULL_SINK
 
 telemetry = Telemetry.disabled()
 trace = run_capture("terasort", input_gb=0.125, nodes=4, seed=1,

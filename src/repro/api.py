@@ -44,7 +44,7 @@ def run_capture(job: Optional[str] = None, input_gb: float = 1.0,
     """Run one job or workload plan on a fresh cluster; return its capture.
 
     ``job`` is a catalog kind (``terasort``, ``wordcount``, ...);
-    ``job_kwargs`` pass through to :func:`repro.jobs.make_job` (e.g.
+    ``job_kwargs`` pass through to :func:`repro.jobs.base.make_job` (e.g.
     ``num_reducers=32`` or ``iterations=5``).  Alternatively ``plan``
     names a registered :class:`~repro.jobs.plan.WorkloadPlan`, built
     with ``plan_params`` and run as a multi-stage DAG; exactly one of

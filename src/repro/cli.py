@@ -40,10 +40,9 @@ from repro.capture.records import JobTrace
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.generation.export import to_flow_schedule_csv, to_json, to_ns3_script, to_omnet_ini
-from repro.generation.generator import generate_trace
 from repro.generation.replay import replay_trace
-from repro.jobs import job_catalog, plan_catalog
-from repro.modeling.model import JobTrafficModel, fit_job_model
+from repro.jobs.base import job_catalog
+from repro.jobs.plan import plan_catalog
 from repro.net.backend import BACKEND_NAMES, ENGINE_NAMES
 
 
@@ -407,11 +406,11 @@ def _telemetry_from_args(args: argparse.Namespace):
     """An enabled in-memory Telemetry when --telemetry DIR was given."""
     if not getattr(args, "telemetry", None):
         return None
-    from repro.obs import Telemetry
+    from repro.obs.telemetry import Telemetry
 
     interval = getattr(args, "probe_interval", None)
     if interval is None:
-        from repro.obs import DEFAULT_PROBE_INTERVAL
+        from repro.obs.telemetry import DEFAULT_PROBE_INTERVAL
         interval = DEFAULT_PROBE_INTERVAL
     return Telemetry.enabled_in_memory(probe_interval=interval)
 
@@ -420,7 +419,7 @@ def _alert_engine(rules_path: Optional[str], broker):
     """An AlertEngine over a rule file, or None without one."""
     if not rules_path:
         return None
-    from repro.obs import AlertEngine, load_rules
+    from repro.obs.alerts import AlertEngine, load_rules
 
     return AlertEngine(load_rules(rules_path), broker=broker)
 
@@ -620,8 +619,9 @@ def cmd_campaign(args: argparse.Namespace) -> int:
     server = None
     broker = None
     if args.serve_port is not None:
-        from repro.obs import EventBroker, Telemetry
+        from repro.obs.aggregate import EventBroker
         from repro.obs.server import serve_telemetry
+        from repro.obs.telemetry import Telemetry
 
         if telemetry is None:
             # Registry-only live view: counters still work on a
@@ -801,15 +801,16 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     telemetry = None
     if args.telemetry:
-        from repro.obs import Telemetry
+        from repro.obs.telemetry import Telemetry
 
         telemetry = Telemetry.enabled_in_memory()
 
     broker = None
     server = None
     if args.serve_port is not None and args.action in ("run", "resume"):
-        from repro.obs import EventBroker, Telemetry
+        from repro.obs.aggregate import EventBroker
         from repro.obs.server import serve_telemetry
+        from repro.obs.telemetry import Telemetry
 
         if telemetry is None:
             telemetry = Telemetry.disabled()
@@ -958,6 +959,8 @@ def cmd_store(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from repro.modeling.model import fit_job_model
+
     traces = [JobTrace.from_jsonl(path) for path in args.traces]
     if args.bundle:
         from repro.modeling.bundle import ModelBundle
@@ -977,6 +980,9 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
+    from repro.generation.generator import generate_trace
+    from repro.modeling.model import JobTrafficModel
+
     model = JobTrafficModel.from_json(args.model)
     trace = generate_trace(model, input_gb=args.input_gb, seed=args.seed)
     trace.to_jsonl(args.output)
@@ -1048,6 +1054,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 def cmd_inspect(args: argparse.Namespace) -> int:
     from repro.modeling.health import check_model
     from repro.modeling.inspect import describe_model
+    from repro.modeling.model import JobTrafficModel
 
     model = JobTrafficModel.from_json(args.model)
     for table in describe_model(model):
@@ -1065,6 +1072,7 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 
 def cmd_diff(args: argparse.Namespace) -> int:
     from repro.modeling.diff import diff_table
+    from repro.modeling.model import JobTrafficModel
 
     before = JobTrafficModel.from_json(args.before)
     after = JobTrafficModel.from_json(args.after)
@@ -1079,14 +1087,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
 
 def cmd_suite(args: argparse.Namespace) -> int:
     from repro.capture.records import save_traces
-    from repro.workloads import (
-        ANALYTICS_MIX,
-        MICRO_MIX,
-        SHUFFLE_HEAVY_MIX,
-        PoissonArrivals,
-        UniformArrivals,
-        WorkloadSuite,
-    )
+    from repro.workloads.arrivals import PoissonArrivals, UniformArrivals
+    from repro.workloads.hibench import ANALYTICS_MIX, MICRO_MIX, SHUFFLE_HEAVY_MIX
+    from repro.workloads.suite import WorkloadSuite
 
     mixes = {"micro": MICRO_MIX, "shuffle-heavy": SHUFFLE_HEAVY_MIX,
              "analytics": ANALYTICS_MIX}
@@ -1222,7 +1225,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     import time
 
-    from repro.obs import EventBroker
+    from repro.obs.aggregate import EventBroker
     from repro.obs.server import ENDPOINTS, serve_directory
 
     if not Path(args.telemetry).is_dir():

@@ -7,15 +7,3 @@ reducer count, scheduler, ...).  The dynamic behaviour lives in
 :mod:`repro.net` (links and flows), :mod:`repro.hdfs` and
 :mod:`repro.yarn`.
 """
-
-from repro.cluster.config import ClusterSpec, HadoopConfig
-from repro.cluster.topology import Host, Switch, Topology, build_topology
-
-__all__ = [
-    "ClusterSpec",
-    "HadoopConfig",
-    "Host",
-    "Switch",
-    "Topology",
-    "build_topology",
-]

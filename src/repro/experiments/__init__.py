@@ -29,52 +29,3 @@ with zero re-execution of completed nodes.
 capture→classify→fit→replay→validate→report DAG over one shared
 capture set, with E12/E18 ported on as sibling branches.
 """
-
-from repro.experiments.campaigns import (
-    CampaignConfig,
-    cache_stats,
-    capture,
-    capture_campaign,
-    clear_cache,
-    get_store,
-    set_store,
-)
-from repro.experiments.dag import (
-    DAGJournal,
-    DAGRunner,
-    NodeOutcome,
-    PipelineCycleError,
-    PipelineDAG,
-    PipelineFailed,
-    PipelineResult,
-    PROPAGATION_MODES,
-    StageContext,
-    StageNode,
-    register_stage,
-)
-from repro.experiments.pipelines import PipelineSpec, build_pipeline, load_spec, save_spec
-from repro.experiments.runner import CampaignRunner, CapturePoint, derive_seed
-from repro.experiments.store import CaptureStore, ScrubReport
-from repro.experiments.supervision import (
-    CampaignPointsFailed,
-    CheckpointJournal,
-    FailureFingerprint,
-    PointFailure,
-    Quarantine,
-    RetryPolicy,
-    classify_failure,
-)
-from repro.experiments import figures
-from repro.experiments.report import generate_report, write_report
-
-__all__ = ["CampaignConfig", "CampaignPointsFailed", "CampaignRunner",
-           "CaptureStore", "CapturePoint", "CheckpointJournal", "DAGJournal",
-           "DAGRunner", "FailureFingerprint", "PROPAGATION_MODES",
-           "NodeOutcome", "PipelineCycleError", "PipelineDAG",
-           "PipelineFailed", "PipelineResult", "PipelineSpec", "PointFailure",
-           "Quarantine", "RetryPolicy", "ScrubReport", "StageContext",
-           "StageNode", "build_pipeline", "cache_stats", "capture",
-           "capture_campaign", "classify_failure", "clear_cache",
-           "derive_seed", "figures", "generate_report", "get_store",
-           "load_spec", "register_stage", "save_spec", "set_store",
-           "write_report"]

@@ -133,8 +133,20 @@ def register_stage(name: str) -> Callable[[Callable], Callable]:
     return decorate
 
 
-def stage_registry() -> Dict[str, Callable]:
-    return dict(_STAGE_REGISTRY)
+def registered_stage(name: str) -> Callable[["StageContext"], Any]:
+    """The stage function registered under ``name``.
+
+    The built-in stages register themselves when
+    :mod:`repro.experiments.pipelines` is imported, so that module is
+    imported first; nothing else has to have loaded it.
+    """
+    import repro.experiments.pipelines  # noqa: F401  (registers stages)
+
+    try:
+        return _STAGE_REGISTRY[name]
+    except KeyError:
+        raise PipelineDefinitionError(
+            f"stage {name!r} is not registered") from None
 
 
 # -- DAG structure ------------------------------------------------------------------
@@ -375,14 +387,11 @@ def _run_stage_in_worker(stage: str, name: str, workdir: str,
                          out_paths: Dict[str, str]) -> None:
     """Spawn-worker entry point for deadline-enforced stages.
 
-    Imports the built-in stage definitions (registration is an import
-    side effect), then runs the named stage against the shared
-    filesystem.  Only registry stages come through here — a raw ``fn``
-    callable cannot be named across a spawn boundary.
+    Runs the named registry stage against the shared filesystem.  Only
+    registry stages come through here — a raw ``fn`` callable cannot be
+    named across a spawn boundary.
     """
-    import repro.experiments.pipelines  # noqa: F401  (registers stages)
-
-    fn = _STAGE_REGISTRY[stage]
+    fn = registered_stage(stage)
     context = StageContext(name=name, workdir=Path(workdir),
                            config=dict(config),
                            inputs={key: Path(value)
@@ -553,8 +562,7 @@ class DAGRunner:
                  on_failure: str = FAIL_FAST,
                  telemetry: Optional[Telemetry] = None,
                  events: Optional[Any] = None,
-                 node_telemetry: bool = False,
-                 verify_outputs: bool = True):
+                 node_telemetry: bool = False):
         if on_failure not in PROPAGATION_MODES:
             raise ValueError(f"on_failure must be one of {PROPAGATION_MODES},"
                              f" got {on_failure!r}")
@@ -568,7 +576,6 @@ class DAGRunner:
         self.telemetry = telemetry or Telemetry.disabled()
         self.events = events
         self.node_telemetry = node_telemetry
-        self.verify_outputs = verify_outputs
         self.journal = DAGJournal(self.root / "journal.jsonl",
                                   pipeline=dag.name)
         self._registry = self.telemetry.registry
@@ -649,14 +656,13 @@ class DAGRunner:
         if (not isinstance(outputs, dict)
                 or set(outputs) != set(node.out_paths)):
             return None
-        if self.verify_outputs:
-            base = self._node_dir(node.name, signature)
-            for meta in outputs.values():
-                try:
-                    if digest_path(base / meta["path"]) != meta["digest"]:
-                        return None
-                except (StageOutputMissing, OSError, KeyError, TypeError):
+        base = self._node_dir(node.name, signature)
+        for meta in outputs.values():
+            try:
+                if digest_path(base / meta["path"]) != meta["digest"]:
                     return None
+            except (StageOutputMissing, OSError, KeyError, TypeError):
+                return None
         return outputs
 
     # -- running ---------------------------------------------------------------------
@@ -826,14 +832,7 @@ class DAGRunner:
         if deadline is not None and node.fn is None:
             self._execute_in_worker(node, workdir, inputs, deadline)
         else:
-            fn = node.fn
-            if fn is None:
-                try:
-                    fn = _STAGE_REGISTRY[node.stage]
-                except KeyError:
-                    raise PipelineDefinitionError(
-                        f"node {node.name!r}: stage {node.stage!r} is not "
-                        "registered and no fn was given") from None
+            fn = node.fn or registered_stage(node.stage)
             context = StageContext(
                 name=node.name, workdir=workdir, config=dict(node.config),
                 inputs=dict(inputs), out_paths=dict(node.out_paths),
@@ -874,8 +873,8 @@ class DAGRunner:
                                    mp_context=get_context("spawn"))
         try:
             # Arm the deadline only once the worker has booted and
-            # imported the package: spawn start-up is not stage time.
-            warm_pool(pool, 1)
+            # imported the stages: spawn start-up is not stage time.
+            warm_pool(pool, 1, "repro.experiments.pipelines")
             future = pool.submit(
                 _run_stage_in_worker, node.stage, node.name, str(workdir),
                 dict(node.config),

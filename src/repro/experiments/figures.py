@@ -29,7 +29,7 @@ from repro.experiments.runner import derive_seed
 from repro.generation.generator import generate_trace
 from repro.generation.replay import replay_trace
 from repro.hdfs.placement import RandomPlacementPolicy
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
 from repro.modeling.fitting import fit_candidates
 from repro.modeling.model import fit_job_model
@@ -440,7 +440,6 @@ def e13_failures(job: str = "terasort", input_gb: float = 0.5,
                  seed: int = DEFAULT_SEED) -> List[Table]:
     """Traffic and completion time with a mid-job DataNode/node failure."""
     from repro.faults import DATANODE, NODE, FaultEvent, FaultInjector
-    from repro.jobs import make_job as _make_job
 
     campaign = CampaignConfig()
     table = Table(
@@ -461,7 +460,7 @@ def e13_failures(job: str = "terasort", input_gb: float = 0.5,
             injector = FaultInjector(
                 cluster, [FaultEvent(4.0, fault_kind, victim.name)])
         results, traces = cluster.run(
-            [_make_job(job, input_gb=input_gb, job_id=f"e13_{label.split()[0]}")])
+            [make_job(job, input_gb=input_gb, job_id=f"e13_{label.split()[0]}")])
         result, trace = results[0], traces[0]
         rerep = sum(r.size for r in cluster.collector.records
                     if r.service == "re-replication")
@@ -471,9 +470,15 @@ def e13_failures(job: str = "terasort", input_gb: float = 0.5,
                       injector.report.blocks_rereplicated if injector else 0,
                       injector.report.containers_lost if injector else 0,
                       result.failed)
+    healthy_jct = table.rows[0][1]
+    shifts = ", ".join(f"{row[0]} {row[1] - healthy_jct:+.2f} s"
+                       for row in table.rows[1:])
+    lost = sum(table.column("containers lost"))
+    outcome = ("the job fails" if any(table.column("failed"))
+               else "the job survives every failure")
     table.notes.append("re-replication restores replication factor with "
-                       "block-sized hdfs_write flows; task re-execution "
-                       "extends the JCT without failing the job")
+                       "block-sized hdfs_write flows; JCT vs healthy: "
+                       f"{shifts} ({lost} container(s) lost); {outcome}")
     return [table]
 
 
@@ -482,7 +487,9 @@ def e13_failures(job: str = "terasort", input_gb: float = 0.5,
 
 def e14_multitenant(seed: int = DEFAULT_SEED) -> List[Table]:
     """Concurrent workload suite vs isolated runs (interference factors)."""
-    from repro.workloads import MICRO_MIX, UniformArrivals, WorkloadSuite
+    from repro.workloads.arrivals import UniformArrivals
+    from repro.workloads.hibench import MICRO_MIX
+    from repro.workloads.suite import WorkloadSuite
 
     campaign = CampaignConfig()
     suite = WorkloadSuite(MICRO_MIX, arrivals=UniformArrivals(span=10.0),
@@ -851,7 +858,7 @@ def a5_speculation(input_gb: float = 1.0, seed: int = DEFAULT_SEED) -> List[Tabl
     """Speculative execution under stragglers: JCT vs duplicate traffic.
 
     Straggler-prone map-heavy workload (wordcount, 25% of attempts
-    slowed 20x): speculation trades extra read traffic for a shorter
+    slowed 20x): speculation trades duplicate attempts for a shorter
     straggler tail.
     """
     table = Table(
@@ -876,8 +883,10 @@ def a5_speculation(input_gb: float = 1.0, seed: int = DEFAULT_SEED) -> List[Tabl
                       round0.speculative_attempts,
                       int(counters["TOTAL_LAUNCHED_MAPS"]),
                       _mib(traces[0].total_bytes("hdfs_read")))
-    table.notes.append("speculation launches duplicate attempts (extra "
-                       "launches and reads) and cuts the straggler tail")
+    off, on = table.rows
+    table.notes.append(f"speculation: launched maps {off[4]}->{on[4]}, "
+                       f"read MiB {off[5]:g}->{on[5]:g}, max map "
+                       f"{off[2]}->{on[2]} s, JCT {off[1]}->{on[1]} s")
     return [table]
 
 

@@ -64,7 +64,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.capture.records import JobTrace
 from repro.cluster.config import ClusterSpec, HadoopConfig
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
 from repro.mapreduce.result import JobResult
 from repro.obs.aggregate import AggregateRegistry, EventBroker, delta_envelope
@@ -605,7 +605,7 @@ class CampaignRunner:
         pool = ProcessPoolExecutor(max_workers=size,
                                    mp_context=get_context("spawn"))
         if self.retry_policy.deadline_s is not None:
-            warm_pool(pool, size)
+            warm_pool(pool, size, "repro.experiments.runner")
         return pool
 
     def _run_pool(self, items: List[Tuple[str, CapturePoint]],

@@ -43,6 +43,7 @@ from a journal (pinned by ``tests/test_campaign_runner.py``).
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import os
 import pickle
@@ -85,24 +86,26 @@ def classify_failure(exc: BaseException) -> str:
     return DETERMINISTIC
 
 
-def worker_pid() -> int:
-    """Trivial pool task: its answer proves a worker finished starting."""
+def worker_pid(module: str) -> int:
+    """Warm-up pool task: import ``module``, answer with the worker's pid."""
+    importlib.import_module(module)
     return os.getpid()
 
 
-def warm_pool(pool: ProcessPoolExecutor, size: int) -> None:
+def warm_pool(pool: ProcessPoolExecutor, size: int, module: str) -> None:
     """Return once all ``size`` spawn workers of ``pool`` have started.
 
-    A spawn worker boots an interpreter and imports the package before
-    it can run anything; that start-up must not count against a
-    deadline, so deadlines are armed only after every worker has
-    answered a trivial task.  A pool that breaks while starting is left
-    for the caller's next submission to report.
+    A spawn worker boots an interpreter and imports the module its task
+    lives in before it can run anything; that start-up must not count
+    against a deadline, so deadlines are armed only after every worker
+    has imported ``module`` (the module whose functions the pool will
+    run) and answered.  A pool that breaks while starting is left for
+    the caller's next submission to report.
     """
     ready: set = set()
     try:
         while len(ready) < size:
-            futures = [pool.submit(worker_pid) for _ in range(size)]
+            futures = [pool.submit(worker_pid, module) for _ in range(size)]
             ready.update(future.result() for future in futures)
     except BrokenExecutor:
         pass

@@ -18,7 +18,7 @@ from repro.capture.records import FlowRecord, JobTrace
 from repro.cluster.config import ClusterSpec
 from repro.cluster.topology import Host, Topology, build_topology
 from repro.net.backend import make_backend
-from repro.simkit import Simulator
+from repro.simkit.core import Simulator
 from repro.simkit.rng import stable_hash
 
 

@@ -15,25 +15,9 @@ Implements the HDFS mechanisms that shape Hadoop's network footprint:
 
 The NameNode keeps a plain in-memory namespace; persistence (fsimage /
 edit log) is out of scope because it creates no network traffic.
+
+Modules: :mod:`~repro.hdfs.namenode`, :mod:`~repro.hdfs.datanode`,
+:mod:`~repro.hdfs.placement`, :mod:`~repro.hdfs.blocks`,
+:mod:`~repro.hdfs.client` (read/write pipelines) and
+:mod:`~repro.hdfs.balancer`.
 """
-
-from repro.hdfs.balancer import Balancer, BalancerReport
-from repro.hdfs.blocks import Block, BlockLocation
-from repro.hdfs.client import DfsClient
-from repro.hdfs.datanode import DataNode
-from repro.hdfs.namenode import BlockLostError, NameNode
-from repro.hdfs.placement import DefaultPlacementPolicy, PlacementPolicy, RandomPlacementPolicy
-
-__all__ = [
-    "Balancer",
-    "BalancerReport",
-    "Block",
-    "BlockLocation",
-    "BlockLostError",
-    "DataNode",
-    "DefaultPlacementPolicy",
-    "DfsClient",
-    "NameNode",
-    "PlacementPolicy",
-    "RandomPlacementPolicy",
-]

@@ -22,19 +22,3 @@ experiment harness.  Multi-stage workloads (Pig/Hive chains, TPCx-HS)
 compose these profiles into :class:`~repro.jobs.plan.WorkloadPlan`
 DAGs; ``make_plan(name, ...)`` is the corresponding plan factory.
 """
-
-from repro.jobs.base import JobIdStream, JobProfile, JobSpec, job_catalog, make_job
-from repro.jobs.plan import PlanEdge, PlanStage, WorkloadPlan, make_plan, plan_catalog
-
-__all__ = [
-    "JobIdStream",
-    "JobProfile",
-    "JobSpec",
-    "PlanEdge",
-    "PlanStage",
-    "WorkloadPlan",
-    "job_catalog",
-    "make_job",
-    "make_plan",
-    "plan_catalog",
-]

@@ -18,10 +18,8 @@ traffic components:
 :class:`~repro.mapreduce.cluster.HadoopCluster` assembles a full
 simulated deployment; :class:`~repro.mapreduce.driver.JobDriver` runs
 (possibly iterative) jobs on it.
+
+:mod:`~repro.mapreduce.appmaster` drives every task of one round;
+:mod:`~repro.mapreduce.result` and :mod:`~repro.mapreduce.counters`
+hold what a run reports.
 """
-
-from repro.mapreduce.cluster import HadoopCluster
-from repro.mapreduce.driver import JobDriver
-from repro.mapreduce.result import JobResult
-
-__all__ = ["HadoopCluster", "JobDriver", "JobResult"]

@@ -31,7 +31,8 @@ from repro.mapreduce.result import JobResult, PlanResult
 from repro.net.backend import make_backend
 from repro.obs.probes import ClusterProbes
 from repro.obs.telemetry import Telemetry
-from repro.simkit import RngRegistry, Simulator
+from repro.simkit.core import Simulator
+from repro.simkit.rng import RngRegistry
 from repro.yarn.containers import Resources
 from repro.yarn.nodemanager import NodeManager
 from repro.yarn.resourcemanager import ResourceManager

@@ -21,58 +21,3 @@ Pipeline:
    :class:`~repro.modeling.model.JobTrafficModel` with JSON
    round-tripping, and :func:`~repro.modeling.model.fit_job_model`.
 """
-
-from repro.modeling.bundle import ModelBundle
-from repro.modeling.crossval import CrossValidationReport, leave_one_out
-from repro.modeling.diff import diff_models, diff_table
-from repro.modeling.health import check_model, is_healthy
-from repro.modeling.inspect import describe_model
-from repro.modeling.mixture import LognormalMixture
-from repro.modeling.distributions import (
-    CANDIDATE_FAMILIES,
-    DegenerateDistribution,
-    EmpiricalDistribution,
-    FittedDistribution,
-    distribution_from_dict,
-    fit_family,
-)
-from repro.modeling.empirical import Ecdf, summarize
-from repro.modeling.fitting import FitReport, fit_best, fit_candidates
-from repro.modeling.goodness import anderson_darling, bootstrap_ks_pvalue, qq_points
-from repro.modeling.ks import ks_one_sample, ks_two_sample
-from repro.modeling.model import ComponentModel, JobTrafficModel, fit_job_model
-from repro.modeling.scaling import LinearLaw, PowerLaw, best_scaling_law
-
-__all__ = [
-    "CANDIDATE_FAMILIES",
-    "ComponentModel",
-    "DegenerateDistribution",
-    "Ecdf",
-    "EmpiricalDistribution",
-    "FitReport",
-    "FittedDistribution",
-    "JobTrafficModel",
-    "LinearLaw",
-    "ModelBundle",
-    "PowerLaw",
-    "CrossValidationReport",
-    "LognormalMixture",
-    "anderson_darling",
-    "best_scaling_law",
-    "bootstrap_ks_pvalue",
-    "check_model",
-    "describe_model",
-    "diff_models",
-    "diff_table",
-    "is_healthy",
-    "leave_one_out",
-    "qq_points",
-    "distribution_from_dict",
-    "fit_best",
-    "fit_candidates",
-    "fit_family",
-    "fit_job_model",
-    "ks_one_sample",
-    "ks_two_sample",
-    "summarize",
-]

@@ -15,28 +15,3 @@ Main entry point is :class:`~repro.net.network.FlowNetwork`:
 * listeners receive each completed flow, which is how the capture stage
   (:mod:`repro.capture`) observes traffic.
 """
-
-from repro.net.backend import (
-    BACKEND_NAMES,
-    AnalyticBackend,
-    FlowIntent,
-    RecordBackend,
-    TransportBackend,
-    make_backend,
-)
-from repro.net.fairshare import FairShareAllocator, max_min_rates
-from repro.net.flow import Flow
-from repro.net.network import FlowNetwork
-
-__all__ = [
-    "AnalyticBackend",
-    "BACKEND_NAMES",
-    "FairShareAllocator",
-    "Flow",
-    "FlowIntent",
-    "FlowNetwork",
-    "RecordBackend",
-    "TransportBackend",
-    "make_backend",
-    "max_min_rates",
-]

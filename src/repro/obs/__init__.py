@@ -2,7 +2,7 @@
 
 The single facade the engine is instrumented through::
 
-    from repro.obs import Telemetry
+    from repro.obs.telemetry import Telemetry
 
     telemetry = Telemetry.enabled_in_memory()
     cluster = HadoopCluster(spec, config, seed=1, telemetry=telemetry)
@@ -15,82 +15,10 @@ Everything is disabled by default: an un-configured run keeps its
 counters (the registry is the only counter API) but emits no spans,
 schedules no probes and allocates no sinks.
 
-The live-observability daemon (:class:`repro.obs.server.
-ObservabilityServer` — ``keddah serve``) is deliberately *not*
-re-exported here: importing it pulls in ``http.server``, which the
-simulation hot path never needs.
+Modules: :mod:`~repro.obs.metrics` (the registry),
+:mod:`~repro.obs.trace` (spans and sinks), :mod:`~repro.obs.probes`,
+:mod:`~repro.obs.telemetry` (the facade), :mod:`~repro.obs.export`,
+:mod:`~repro.obs.aggregate` (cross-worker merge and the event broker),
+:mod:`~repro.obs.alerts` and :mod:`~repro.obs.server` (the
+``keddah serve`` daemon, which pulls in ``http.server``).
 """
-
-from repro.obs.aggregate import (
-    AggregateRegistry,
-    EventBroker,
-    Subscription,
-    delta_envelope,
-)
-from repro.obs.alerts import (
-    AlertEngine,
-    AlertRule,
-    load_rules,
-    parse_rule,
-    parse_rules,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.probes import ClusterProbes, ProbeLog, ProbeSeries
-from repro.obs.telemetry import (
-    DEFAULT_PROBE_INTERVAL,
-    Telemetry,
-    TelemetryConfig,
-)
-from repro.obs.trace import (
-    NULL_SINK,
-    NULL_SPAN,
-    SPAN_KINDS,
-    FileSink,
-    MemorySink,
-    NullSink,
-    Span,
-    TraceSink,
-    Tracer,
-    load_spans,
-    span_children,
-)
-
-__all__ = [
-    "AggregateRegistry",
-    "AlertEngine",
-    "AlertRule",
-    "DEFAULT_BUCKETS",
-    "DEFAULT_PROBE_INTERVAL",
-    "ClusterProbes",
-    "Counter",
-    "EventBroker",
-    "Subscription",
-    "delta_envelope",
-    "load_rules",
-    "parse_rule",
-    "parse_rules",
-    "FileSink",
-    "Gauge",
-    "Histogram",
-    "MemorySink",
-    "MetricsRegistry",
-    "NULL_SINK",
-    "NULL_SPAN",
-    "NullSink",
-    "ProbeLog",
-    "ProbeSeries",
-    "SPAN_KINDS",
-    "Span",
-    "Telemetry",
-    "TelemetryConfig",
-    "TraceSink",
-    "Tracer",
-    "load_spans",
-    "span_children",
-]

@@ -17,22 +17,8 @@ Design goals:
 * **Named RNG streams** — every stochastic component draws from its own
   :func:`~repro.simkit.rng.RngRegistry.stream`, so adding a new source
   of randomness never perturbs existing ones.
+
+Modules: :mod:`~repro.simkit.core` (the event loop, processes,
+signals), :mod:`~repro.simkit.resources` (resources and stores) and
+:mod:`~repro.simkit.rng`.
 """
-
-from repro.simkit.core import Event, Interrupt, Process, Signal, SimulationError, Simulator, Timeout
-from repro.simkit.resources import Resource, Store
-from repro.simkit.rng import RngRegistry, stable_hash
-
-__all__ = [
-    "Event",
-    "Interrupt",
-    "Process",
-    "Resource",
-    "RngRegistry",
-    "Signal",
-    "SimulationError",
-    "Simulator",
-    "Store",
-    "Timeout",
-    "stable_hash",
-]

@@ -12,19 +12,3 @@ clusters have: *concurrency*.  This package layers it on:
 * :mod:`repro.workloads.hibench` — the canonical mixes (HiBench-like
   micro mix, a shuffle-heavy mix, an analytics mix).
 """
-
-from repro.workloads.arrivals import DiurnalArrivals, FixedArrivals, PoissonArrivals, UniformArrivals
-from repro.workloads.hibench import ANALYTICS_MIX, MICRO_MIX, SHUFFLE_HEAVY_MIX
-from repro.workloads.suite import SuiteResult, WorkloadSuite
-
-__all__ = [
-    "ANALYTICS_MIX",
-    "DiurnalArrivals",
-    "FixedArrivals",
-    "MICRO_MIX",
-    "PoissonArrivals",
-    "SHUFFLE_HEAVY_MIX",
-    "SuiteResult",
-    "UniformArrivals",
-    "WorkloadSuite",
-]

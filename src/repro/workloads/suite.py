@@ -18,8 +18,7 @@ from repro.analysis.jct import makespan
 from repro.capture.records import JobTrace
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import GB
-from repro.jobs import make_job
-from repro.jobs.base import JobSpec
+from repro.jobs.base import JobSpec, make_job
 from repro.mapreduce.cluster import HadoopCluster
 from repro.mapreduce.result import JobResult
 from repro.workloads.arrivals import ArrivalProcess, UniformArrivals

@@ -13,17 +13,3 @@ and task timing:
   :mod:`repro.mapreduce`) register, expose pending container demand,
   and accept grants; container launches cost an AM→NM RPC flow.
 """
-
-from repro.yarn.containers import Container, Resources
-from repro.yarn.nodemanager import NodeManager
-from repro.yarn.resourcemanager import Application, ResourceManager
-from repro.yarn.schedulers import make_scheduler
-
-__all__ = [
-    "Application",
-    "Container",
-    "NodeManager",
-    "Resources",
-    "ResourceManager",
-    "make_scheduler",
-]

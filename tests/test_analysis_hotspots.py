@@ -79,7 +79,7 @@ def test_cli_validate_and_hotspots(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def probed_capture():
     from repro.api import run_capture
-    from repro.obs import Telemetry
+    from repro.obs.telemetry import Telemetry
 
     telemetry = Telemetry.enabled_in_memory(probe_interval=0.5)
     trace = run_capture("terasort", input_gb=0.25, nodes=4, seed=11,

@@ -100,7 +100,7 @@ def test_phase_profile_table_shape():
 @pytest.fixture(scope="module")
 def probed_capture():
     from repro.api import run_capture
-    from repro.obs import Telemetry
+    from repro.obs.telemetry import Telemetry
 
     telemetry = Telemetry.enabled_in_memory(probe_interval=0.5)
     trace = run_capture("terasort", input_gb=0.25, nodes=4, seed=11,

@@ -28,7 +28,7 @@ from repro.experiments.campaigns import CampaignConfig
 from repro.experiments.runner import CapturePoint
 from repro.generation.export import to_flow_schedule_csv, to_ns3_script
 from repro.generation.replay import replay_trace
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 
 JCT_TOLERANCE = 0.25
 

@@ -69,7 +69,7 @@ def test_decommission_traffic_is_hdfs_write():
 
 
 def test_decommission_during_job_keeps_it_green():
-    from repro.jobs import make_job
+    from repro.jobs.base import make_job
 
     cluster = make_cluster(seed=65)
     victim = cluster.workers[6]
@@ -83,7 +83,7 @@ def test_decommission_under_load_serves_reads_and_drains_fully():
     """Drain concurrent with a running terasort: the node keeps serving
     reads mid-drain, every copy completes, and nothing is left
     under-replicated."""
-    from repro.jobs import make_job
+    from repro.jobs.base import make_job
 
     # Dry-run to learn where the AM lands so the drain never hits it.
     dry = make_cluster(seed=66)

@@ -12,7 +12,7 @@ from repro.cluster.units import GB, KB, MB, TB, gbit_to_bytes_per_s
 from repro.modeling.inspect import describe_model
 from repro.modeling.model import fit_job_model
 from repro.net.network import FlowNetwork
-from repro.simkit import Simulator
+from repro.simkit.core import Simulator
 from repro.yarn.nodemanager import NodeManager
 
 

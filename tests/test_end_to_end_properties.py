@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce import counters as ctr
 from repro.mapreduce.cluster import HadoopCluster
 

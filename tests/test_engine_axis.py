@@ -19,7 +19,7 @@ from repro.experiments.runner import CapturePoint
 from repro.generation.replay import replay_trace
 from repro.net.backend import ENGINE_NAMES, make_backend
 from repro.net.network import FlowNetwork
-from repro.obs import Telemetry
+from repro.obs.telemetry import Telemetry
 from repro.simkit.core import Simulator
 
 pytest.importorskip("numpy")

@@ -22,7 +22,7 @@ import pytest
 
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
 from repro.net.fairshare import (
     FairShareAllocator,

@@ -7,7 +7,7 @@ from repro.cluster.units import MB
 from repro.faults import (DATANODE, DECOMMISSION, NODE, NODEMANAGER,
                           FaultEvent, FaultInjector)
 from repro.hdfs.namenode import BlockLostError
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
 
 

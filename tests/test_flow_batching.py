@@ -21,7 +21,7 @@ from repro.cluster.topology import build_topology
 from repro.cluster.units import GBPS
 from repro.net.backend import FlowRequest, TransportBackend, make_backend
 from repro.net.network import FlowNetwork
-from repro.simkit import Simulator
+from repro.simkit.core import Simulator
 
 MB = 1e6
 

@@ -9,7 +9,7 @@ from repro.hdfs.balancer import Balancer
 from repro.hdfs.namenode import NameNode
 from repro.hdfs.placement import PlacementPolicy
 from repro.net.network import FlowNetwork
-from repro.simkit import Simulator
+from repro.simkit.core import Simulator
 
 
 class PinnedPlacement(PlacementPolicy):

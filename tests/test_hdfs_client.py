@@ -12,7 +12,7 @@ from repro.hdfs.client import DfsClient, split_into_blocks
 from repro.hdfs.datanode import DataNode
 from repro.hdfs.namenode import NameNode
 from repro.net.network import FlowNetwork
-from repro.simkit import Simulator
+from repro.simkit.core import Simulator
 
 
 def make_dfs(num_hosts=8, block_size=32 * MB, replication=3):

@@ -5,8 +5,7 @@ import pytest
 
 from repro.cluster.config import ClusterSpec
 from repro.cluster.units import MB
-from repro.jobs import JobProfile, JobSpec, job_catalog, make_job
-from repro.jobs.base import register_profile
+from repro.jobs.base import JobProfile, JobSpec, job_catalog, make_job, register_profile
 from repro.mapreduce.cluster import HadoopCluster
 
 EXPECTED_KINDS = {"terasort", "sort", "wordcount", "grep", "pagerank",

@@ -5,7 +5,7 @@ import pytest
 from repro.capture.records import TrafficComponent
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
 
 

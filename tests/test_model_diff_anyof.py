@@ -6,7 +6,7 @@ from repro.cluster.units import MB
 from repro.experiments.campaigns import CampaignConfig, capture_campaign
 from repro.modeling.diff import diff_models, diff_table
 from repro.modeling.model import fit_job_model
-from repro.simkit import SimulationError, Simulator
+from repro.simkit.core import SimulationError, Simulator
 
 
 # -- any_of --------------------------------------------------------------------

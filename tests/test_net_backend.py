@@ -8,8 +8,8 @@ from repro.cluster.units import GBPS
 from repro.net.backend import (AnalyticBackend, BACKEND_NAMES, RecordBackend,
                                TransportBackend, make_backend)
 from repro.net.network import FlowNetwork
-from repro.obs import Telemetry
-from repro.simkit import Simulator
+from repro.obs.telemetry import Telemetry
+from repro.simkit.core import Simulator
 
 
 def make(backend_name, num_hosts=4, telemetry=None, **cfg):

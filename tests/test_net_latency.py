@@ -5,10 +5,10 @@ import pytest
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.topology import build_topology
 from repro.cluster.units import GBPS, MB
-from repro.jobs import make_job
+from repro.jobs.base import make_job
 from repro.mapreduce.cluster import HadoopCluster
 from repro.net.network import FlowNetwork
-from repro.simkit import Simulator
+from repro.simkit.core import Simulator
 
 
 def make_net(hop_latency, kind="tree", num_hosts=8, hosts_per_rack=4):

@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.topology import build_topology
 from repro.cluster.units import GBPS
 from repro.net.network import FlowNetwork
-from repro.simkit import Simulator
+from repro.simkit.core import Simulator
 
 
 def make_network(num_hosts=4, host_gbps=1.0, kind="star", **kwargs):

@@ -4,13 +4,13 @@ import threading
 
 import pytest
 
-from repro.obs import (
+from repro.obs.aggregate import (
+    WORKER_LABEL,
     AggregateRegistry,
     EventBroker,
-    MetricsRegistry,
     delta_envelope,
 )
-from repro.obs.aggregate import WORKER_LABEL
+from repro.obs.metrics import MetricsRegistry
 
 
 # -- AggregateRegistry ---------------------------------------------------------------

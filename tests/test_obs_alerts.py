@@ -4,18 +4,11 @@ import json
 
 import pytest
 
-from repro.obs import (
-    AlertEngine,
-    AlertRule,
-    EventBroker,
-    MemorySink,
-    MetricsRegistry,
-    ProbeLog,
-    Tracer,
-    load_rules,
-    parse_rule,
-    parse_rules,
-)
+from repro.obs.aggregate import EventBroker
+from repro.obs.alerts import AlertEngine, AlertRule, load_rules, parse_rule, parse_rules
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.probes import ProbeLog
+from repro.obs.trace import MemorySink, Tracer
 
 
 # -- parsing -------------------------------------------------------------------------

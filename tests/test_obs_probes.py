@@ -3,7 +3,8 @@
 import pytest
 
 from repro.api import run_capture
-from repro.obs import ClusterProbes, ProbeLog, ProbeSeries, Telemetry
+from repro.obs.probes import ClusterProbes, ProbeLog, ProbeSeries
+from repro.obs.telemetry import Telemetry
 
 EXPECTED_SERIES = {"net.active_flows", "net.throughput_gbps",
                    "net.link_utilisation_mean", "net.link_utilisation_max",

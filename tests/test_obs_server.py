@@ -14,7 +14,8 @@ from repro.cli import main
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
 from repro.experiments.runner import CampaignRunner, CapturePoint
-from repro.obs import AlertEngine, AlertRule, EventBroker, Telemetry
+from repro.obs.aggregate import EventBroker
+from repro.obs.alerts import AlertEngine, AlertRule
 from repro.obs.export import write_telemetry
 from repro.obs.server import (
     ENDPOINTS,
@@ -24,6 +25,7 @@ from repro.obs.server import (
     serve_directory,
     serve_telemetry,
 )
+from repro.obs.telemetry import Telemetry
 
 _CONFIG = HadoopConfig(block_size=16 * MB, num_reducers=2, replication=2)
 _SPEC = ClusterSpec(num_nodes=4, hosts_per_rack=2)
@@ -370,7 +372,7 @@ def test_cli_serve_for_seconds_and_missing_dir(tmp_path, capsys):
 def test_cli_campaign_serve_port_serves_live_metrics(capsys, monkeypatch):
     import sys
 
-    import repro.obs
+    import repro.obs.aggregate
 
     brokers = []
 
@@ -379,7 +381,7 @@ def test_cli_campaign_serve_port_serves_live_metrics(capsys, monkeypatch):
             super().__init__(*args, **kwargs)
             brokers.append(self)
 
-    monkeypatch.setattr(repro.obs, "EventBroker", Broker)
+    monkeypatch.setattr(repro.obs.aggregate, "EventBroker", Broker)
     real_write = sys.stdout.write
 
     def sniffing_write(text):

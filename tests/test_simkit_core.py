@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simkit import Interrupt, SimulationError, Simulator
+from repro.simkit.core import Interrupt, SimulationError, Simulator
 
 
 def test_schedule_runs_in_time_order():

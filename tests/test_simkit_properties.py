@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simkit import Resource, Simulator, Store
+from repro.simkit.core import Simulator
+from repro.simkit.resources import Resource, Store
 
 
 @settings(max_examples=100, deadline=None)

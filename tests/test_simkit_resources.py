@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.simkit import Resource, SimulationError, Simulator, Store
+from repro.simkit.core import SimulationError, Simulator
+from repro.simkit.resources import Resource, Store
 
 
 def test_resource_limits_concurrency():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.simkit import RngRegistry, stable_hash
+from repro.simkit.rng import RngRegistry, stable_hash
 
 
 def test_same_seed_same_stream_reproduces():

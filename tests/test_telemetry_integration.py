@@ -7,7 +7,8 @@ import pytest
 from repro.api import run_capture
 from repro.experiments.campaigns import CampaignConfig
 from repro.experiments.runner import CampaignRunner, CapturePoint
-from repro.obs import NULL_SINK, Telemetry, TelemetryConfig
+from repro.obs.telemetry import Telemetry, TelemetryConfig
+from repro.obs.trace import NULL_SINK
 
 
 def trace_bytes(trace):

@@ -20,15 +20,8 @@ from repro.analysis.plans import (
 from repro.capture.records import TrafficComponent
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
-from repro.jobs import (
-    JobIdStream,
-    PlanEdge,
-    PlanStage,
-    WorkloadPlan,
-    make_job,
-    make_plan,
-    plan_catalog,
-)
+from repro.jobs.base import JobIdStream, make_job
+from repro.jobs.plan import PlanEdge, PlanStage, WorkloadPlan, make_plan, plan_catalog
 from repro.mapreduce.cluster import HadoopCluster
 
 SMALL_GB = 0.0625  # 64 MiB -> 2 blocks at 32 MiB

@@ -5,16 +5,9 @@ import pytest
 
 from repro.cluster.config import ClusterSpec, HadoopConfig
 from repro.cluster.units import MB
-from repro.workloads import (
-    ANALYTICS_MIX,
-    FixedArrivals,
-    MICRO_MIX,
-    PoissonArrivals,
-    SHUFFLE_HEAVY_MIX,
-    UniformArrivals,
-    WorkloadSuite,
-)
-from repro.workloads.suite import MixEntry
+from repro.workloads.arrivals import FixedArrivals, PoissonArrivals, UniformArrivals
+from repro.workloads.hibench import ANALYTICS_MIX, MICRO_MIX, SHUFFLE_HEAVY_MIX
+from repro.workloads.suite import MixEntry, WorkloadSuite
 
 
 def test_poisson_arrivals_sorted_and_start_at_zero():

@@ -6,7 +6,7 @@ from repro.capture.collector import FlowCollector
 from repro.capture.records import TrafficComponent
 from repro.cluster.topology import build_topology
 from repro.net.network import FlowNetwork
-from repro.simkit import Simulator
+from repro.simkit.core import Simulator
 from repro.yarn.containers import Resources
 from repro.yarn.nodemanager import NodeManager
 from repro.yarn.resourcemanager import Application, ResourceManager
